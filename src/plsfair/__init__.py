@@ -24,6 +24,7 @@ from .contracts import (
     validate_spec,
 )
 from .ratios import (
+    AllocationPlan,
     DominanceRegime,
     DominanceReport,
     WeightVector,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
+    "AllocationPlan",
     "CapitalShares",
     "ContractError",
     "ContractSpec",

@@ -48,7 +48,7 @@ from .contracts import (
     Variant,
     WakalahTerms,
 )
-from .ratios import allocate
+from .ratios import AllocationPlan, allocate
 from .risk import (
     EmpiricalSample,
     GbmParams,
@@ -304,14 +304,20 @@ def cmd_risk(args: argparse.Namespace) -> int:
     return 0 if profile.viable() else 2
 
 
-def cmd_allocate(args: argparse.Namespace) -> int:
+def _contract_and_profile(args: argparse.Namespace, purpose: str) -> tuple[ContractSpec, RiskProfile]:
+    """Load the contract file and build the risk profile of its model section."""
     spec, model, amount = load_contract(args.contract)
     if model is None:
-        raise ContractError("contract file has no 'model'; allocation needs a risk profile")
+        raise ContractError(f"contract file has no 'model'; {purpose} needs a risk profile")
     base_dir = Path(args.contract).resolve().parent
     profile = profile_from_model(
         model, amount, base_dir, simulate=args.simulate, seed=args.seed, paths=args.paths
     )
+    return spec, profile
+
+
+def cmd_allocate(args: argparse.Namespace) -> int:
+    spec, profile = _contract_and_profile(args, "allocation")
     alloc = allocate(spec, profile)
     report = verify_allocation(
         alloc, spec.ratings, spec.capital, profile, spec.wakalah, tol=args.tol
@@ -360,35 +366,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ContractError(f"need 0 <= --rho-from < --rho-to <= 1, got [{lo}, {hi}]")
     if steps < 2:
         raise ContractError(f"need --steps >= 2, got {steps}")
-    lines = []
-    n_cols = None
+    plan = AllocationPlan.for_contract(spec)
+    lines = ["rho," + ",".join(f"gamma_{j + 1}" for j in range(len(plan.w_eff)))]
     for i in range(steps):
+        # The grid stays within [lo, hi] <= 1, so every row is a viable risk.
         rho = lo + (hi - lo) * i / (steps - 1)
-        alloc = allocate(spec, rho)
-        if n_cols is None:
-            n_cols = len(alloc.gammas)
-            header = "rho," + ",".join(f"gamma_{j + 1}" for j in range(n_cols))
-            lines.append(header)
-        if abs(math.fsum(alloc.gammas) - 1.0) > 1e-9:
+        gammas = plan.gammas(rho)
+        if abs(math.fsum(gammas) - 1.0) > 1e-9:
             raise ContractError(f"row at rho={rho} violates the ratio simplex")
-        lines.append(",".join([_csv_cell(rho)] + [_csv_cell(g) for g in alloc.gammas]))
+        lines.append(",".join([_csv_cell(rho)] + [_csv_cell(g) for g in gammas]))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ContractError(f"cannot write sweep output: {exc}") from exc
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec, model, amount = load_contract(args.contract)
-    if model is None:
-        raise ContractError("contract file has no 'model'; verification needs a risk profile")
-    base_dir = Path(args.contract).resolve().parent
-    profile = profile_from_model(
-        model, amount, base_dir, simulate=args.simulate, seed=args.seed, paths=args.paths
-    )
+    spec, profile = _contract_and_profile(args, "verification")
     if not profile.viable():
         raise NonViableError(f"investment risk {profile.rho} exceeds 1")
     try:

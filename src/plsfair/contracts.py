@@ -62,28 +62,13 @@ def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class RatingVector:
-    """Per-partner rating coefficients.
-
-    Each coefficient is a strictly positive dimensionless number grading how
-    much that partner contributed to the success of the project. Ratings are
-    only meaningful relative to each other: scaling the whole vector leaves
-    every downstream allocation unchanged.
-    """
+class FloatVector:
+    """A frozen sequence of floats; subclasses validate ``values``."""
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = _as_float_tuple(self.values)
-        object.__setattr__(self, "values", values)
-        d = len(values)
-        if d < 2:
-            raise ContractError(f"need at least 2 partners, got {d}")
-        if d > MAX_PARTNERS:
-            raise ContractError(f"at most {MAX_PARTNERS} partners supported, got {d}")
-        for i, v in enumerate(values):
-            if not math.isfinite(v) or v <= 0.0:
-                raise ContractError(f"rating {i + 1} must be a finite positive number, got {v}")
+        object.__setattr__(self, "values", _as_float_tuple(self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -96,33 +81,43 @@ class RatingVector:
 
 
 @dataclass(frozen=True)
-class CapitalShares:
-    """Per-partner fractions of the pooled capital; must lie on the simplex."""
+class RatingVector(FloatVector):
+    """Per-partner rating coefficients.
 
-    values: tuple[float, ...]
+    Each coefficient is a strictly positive dimensionless number grading how
+    much that partner contributed to the success of the project. Ratings are
+    only meaningful relative to each other: scaling the whole vector leaves
+    every downstream allocation unchanged.
+    """
 
     def __post_init__(self) -> None:
-        values = _as_float_tuple(self.values)
-        object.__setattr__(self, "values", values)
-        if not values:
+        super().__post_init__()
+        d = len(self.values)
+        if d < 2:
+            raise ContractError(f"need at least 2 partners, got {d}")
+        if d > MAX_PARTNERS:
+            raise ContractError(f"at most {MAX_PARTNERS} partners supported, got {d}")
+        for i, v in enumerate(self.values):
+            if not math.isfinite(v) or v <= 0.0:
+                raise ContractError(f"rating {i + 1} must be a finite positive number, got {v}")
+
+
+@dataclass(frozen=True)
+class CapitalShares(FloatVector):
+    """Per-partner fractions of the pooled capital; must lie on the simplex."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.values:
             raise ContractError("capital shares cannot be empty")
-        if len(values) > MAX_PARTNERS:
-            raise ContractError(f"at most {MAX_PARTNERS} partners supported, got {len(values)}")
-        for i, v in enumerate(values):
+        if len(self.values) > MAX_PARTNERS:
+            raise ContractError(f"at most {MAX_PARTNERS} partners supported, got {len(self.values)}")
+        for i, v in enumerate(self.values):
             if not math.isfinite(v) or v < 0.0 or v > 1.0:
                 raise ContractError(f"capital share {i + 1} must lie in [0, 1], got {v}")
-        total = math.fsum(values)
+        total = math.fsum(self.values)
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ContractError(f"capital shares must sum to 1, got {total!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
 
 
 #: Capital split of a plain mudharabah: the funding partner brings everything.

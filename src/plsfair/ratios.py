@@ -1,4 +1,4 @@
-"""Closed-form c-fair ratio allocation for profit-and-loss sharing contracts.
+"""c-fair ratio allocation for profit-and-loss sharing contracts.
 
 A contract between d partners is c-fair when the rated expected payoffs
 c_l * Pay_l agree across all partners. For every supported structure the
@@ -11,6 +11,10 @@ funding reward proportional to the investment risk rho. The weights are the
 normalized products of all ratings except the partner's own, so a smaller
 rating buys a larger share of the expected investment profit.
 
+The variants differ only in their effective vectors (w_eff, kappa_eff),
+which an :class:`AllocationPlan` builds once per contract; one affine
+kernel then evaluates the plan at any rho.
+
 All operations are pure functions; anything accepting a risk argument takes
 either a :class:`~plsfair.contracts.RiskProfile` or a bare ``rho`` (which
 fixes the ratios but leaves payoffs in units of the expected profit).
@@ -19,16 +23,20 @@ fixes the ratios but leaves payoffs in units of the expected profit).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .contracts import (
+    MUDHARABAH_CAPITAL,
+    MUDHARABAH_VARIANTS,
     SIMPLEX_TOL,
     Allocation,
     CapitalShares,
     ContractError,
     ContractSpec,
+    FloatVector,
     NonViableError,
     RatingVector,
     RiskProfile,
@@ -44,31 +52,24 @@ Capital = Union[CapitalShares, Sequence[float]]
 # below it, direct products keep the textbook examples bit-exact.
 _DIRECT_PRODUCT_MAX = 16
 
+#: Largest x for which math.expm1(x) is finite.
+_EXPM1_MAX = math.log(sys.float_info.max)
+
+_MUDHARABAH_SHARES = CapitalShares(MUDHARABAH_CAPITAL)
+
 
 @dataclass(frozen=True)
-class WeightVector:
+class WeightVector(FloatVector):
     """Normalized profit-sharing weights; positive and summing to 1."""
 
-    values: tuple[float, ...]
-
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        for i, v in enumerate(values):
+        super().__post_init__()
+        for i, v in enumerate(self.values):
             if not math.isfinite(v) or v <= 0.0:
                 raise ContractError(f"weight {i + 1} must be positive, got {v}")
-        total = math.fsum(values)
+        total = math.fsum(self.values)
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ContractError(f"weights must sum to 1, got {total!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
 
 
 class DominanceRegime(str, Enum):
@@ -136,18 +137,146 @@ def sharing_weights(ratings: Ratings) -> WeightVector:
     return WeightVector(tuple(p / norm for p in prods))
 
 
-def _rated_payoff_residual(
-    c: Sequence[float],
+def annuity_pv(terms: WakalahTerms) -> float:
+    """Present value of k unit payments at times T/k, 2T/k, ..., T.
+
+    Equals k when there is no discounting and (1+r)^-T for a single payment
+    at maturity. The manager's total expected payoff is this factor times
+    the periodic payment. Where (1+r)^(T/k) would overflow, the value is
+    (1+r)^(-T/k) to double precision, and may underflow to 0.
+    """
+    if terms.r == 0.0:
+        return float(terms.k)
+    log_growth = math.log1p(terms.r)
+    period = terms.T / terms.k * log_growth
+    if period > _EXPM1_MAX:
+        return math.exp(-period)
+    return -math.expm1(-terms.T * log_growth) / math.expm1(period)
+
+
+def payment_factor(terms: WakalahTerms) -> float:
+    """Factor turning the manager's profit share into the periodic payment.
+
+    periodic_payment = payment_factor(terms) * weight_manager * delta. For
+    r > 0 it is ((1+r)^(T/k) - 1) / ((1+r)^T - 1); at r = 0 the expression
+    is 0/0 and the limit 1/k is returned, so the k undiscounted payments
+    add up to exactly the manager's share of the expected profit. The
+    identity annuity_pv = (1+r)^-T / payment_factor holds for r > 0. Where
+    (1+r)^T would overflow, the quotient is taken in log space and may
+    underflow to 0.
+    """
+    if terms.r == 0.0:
+        return 1.0 / terms.k
+    log_growth = math.log1p(terms.r)
+    period, maturity = terms.T / terms.k * log_growth, terms.T * log_growth
+    if maturity <= _EXPM1_MAX:
+        return math.expm1(period) / math.expm1(maturity)
+    # log(e^x - 1) = x once e^-x is below double resolution.
+    log_period = math.log(math.expm1(period)) if period <= _EXPM1_MAX else period
+    return math.exp(log_period - maturity)
+
+
+def rated_payoff_spread(
+    ratings: Sequence[float],
     kappa: Sequence[float],
     gammas: Sequence[float],
     profile: RiskProfile,
+    terms: WakalahTerms | None = None,
+    periodic_payment: float | None = None,
 ) -> float:
-    """Max spread of the rated payoffs c_l * Pay_l on re-substitution."""
-    rated = [
-        ci * (g * profile.e_profit - ki * profile.e_loss)
-        for ci, ki, g in zip(c, kappa, gammas)
-    ]
+    """Max spread of the rated payoffs c_l * Pay_l on re-substitution.
+
+    Without ``terms`` every partner is paid by ratio, Pay_l = gamma_l E1 -
+    kappa_l E2. With them (the wakalah combination) each funder's payoff is
+    discounted by (1+r)^-T and bears 1/(d-1) of the manager's remuneration
+    annuity_pv * p, which is the payoff of the manager, rated last.
+    """
+    e_profit, e_loss = profile.e_profit, profile.e_loss
+    pays = [g * e_profit - k * e_loss for g, k in zip(gammas, kappa)]
+    if terms is not None:
+        discount = (1.0 + terms.r) ** (-terms.T)
+        manager_pay = annuity_pv(terms) * periodic_payment
+        share = manager_pay / (len(ratings) - 1)
+        pays = [discount * pay - share for pay in pays] + [manager_pay]
+    rated = [c * pay for c, pay in zip(ratings, pays)]
     return max(rated) - min(rated)
+
+
+@dataclass(frozen=True)
+class AllocationPlan:
+    """A contract reduced to the effective vectors of the affine kernel.
+
+    gamma_l = w_eff_l (1 - rho) + kappa_eff_l rho, where mudharabah pins
+    kappa_eff to (1, 0), an external mudharib's kappa gets a trailing 0, and
+    under wakalah (``terms`` set) the d-1 funders absorb the manager's
+    weight equally, w_eff_l = w_d/(d-1) + w_l, while the manager is paid a
+    periodic fee. Building a plan validates the inputs and computes the
+    sharing weights once; evaluating it needs only the risk.
+    """
+
+    ratings: tuple[float, ...]
+    weights: tuple[float, ...]
+    w_eff: tuple[float, ...]
+    kappa_eff: tuple[float, ...]
+    terms: WakalahTerms | None = None
+
+    @classmethod
+    def build(
+        cls, ratings: Ratings, capital: Capital, terms: WakalahTerms | None = None
+    ) -> AllocationPlan:
+        """Plan from the capital of every partner, or with wakalah terms of the d-1 funders."""
+        c = _as_ratings(ratings)
+        kappa = _as_capital(capital).values
+        d = len(c)
+        if terms is None and len(kappa) != d:
+            raise ContractError(
+                f"need one capital share per partner: got {len(kappa)} shares for {d} ratings"
+            )
+        if terms is not None:
+            _require_funders(kappa, d)
+            if not isinstance(terms, WakalahTerms):
+                raise ContractError(f"expected WakalahTerms, got {terms!r}")
+        w = sharing_weights(c).values
+        if terms is None:
+            return cls(c.values, w, w, kappa)
+        return cls(c.values, w, tuple(w[d - 1] / (d - 1) + wi for wi in w[: d - 1]), kappa, terms)
+
+    @classmethod
+    def for_contract(cls, spec: ContractSpec) -> AllocationPlan:
+        """Plan a validated contract spec of any variant."""
+        if spec.variant in MUDHARABAH_VARIANTS:
+            return cls.build(spec.ratings, _MUDHARABAH_SHARES)
+        if spec.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
+            return cls.build(spec.ratings, spec.capital.values + (0.0,))  # the manager funds nothing
+        return cls.build(spec.ratings, spec.capital, spec.wakalah)
+
+    def gammas(self, rho: float) -> tuple[float, ...]:
+        """Profit ratios at investment risk ``rho``; rho is not validated."""
+        labour = 1.0 - rho
+        return tuple(w * labour + k * rho for w, k in zip(self.w_eff, self.kappa_eff))
+
+    def allocation(self, risk: RiskLike) -> Allocation:
+        """Ratios, payoffs and re-substitution residual at a viable risk."""
+        profile = _as_profile(risk)
+        gammas = self.gammas(profile.rho)
+        terms, p, discount, delta = self.terms, None, 1.0, profile.delta
+        if terms is not None:
+            p = payment_factor(terms) * self.weights[-1] * delta
+            discount = (1.0 + terms.r) ** (-terms.T)
+        return Allocation(
+            gammas=gammas,
+            payoffs=tuple(w * discount * delta for w in self.weights),
+            residual=rated_payoff_spread(self.ratings, self.kappa_eff, gammas, profile, terms, p),
+            periodic_payment=p,
+            valuation="maturity" if terms is None else "present_value",
+        )
+
+
+def _require_funders(kappa: Sequence[float], d: int) -> None:
+    if len(kappa) != d - 1:
+        raise ContractError(
+            f"capital covers the {d - 1} funding partners, got {len(kappa)} shares"
+        )
 
 
 def fair_mudharabah(risk: RiskLike) -> tuple[float, float]:
@@ -172,30 +301,12 @@ def cfair_mudharabah(ratings: Ratings, risk: RiskLike) -> Allocation:
     c = _as_ratings(ratings)
     if len(c) != 2:
         raise ContractError(f"mudharabah has exactly 2 partners, got {len(c)} ratings")
-    profile = _as_profile(risk)
-    rho = profile.rho
-    w = sharing_weights(c)
-    gammas = (w[0] * (1.0 - rho) + rho, w[1] * (1.0 - rho))
-    payoffs = (w[0] * profile.delta, w[1] * profile.delta)
-    residual = _rated_payoff_residual(c.values, (1.0, 0.0), gammas, profile)
-    return Allocation(gammas=gammas, payoffs=payoffs, residual=residual)
+    return AllocationPlan.build(c, _MUDHARABAH_SHARES).allocation(risk)
 
 
 def cfair_musharakah(ratings: Ratings, capital: Capital, risk: RiskLike) -> Allocation:
     """Self-managed d-partner allocation: everyone funds, everyone manages."""
-    c = _as_ratings(ratings)
-    kappa = _as_capital(capital)
-    if len(kappa) != len(c):
-        raise ContractError(
-            f"need one capital share per partner: got {len(kappa)} shares for {len(c)} ratings"
-        )
-    profile = _as_profile(risk)
-    rho = profile.rho
-    w = sharing_weights(c)
-    gammas = tuple(wi * (1.0 - rho) + ki * rho for wi, ki in zip(w, kappa))
-    payoffs = tuple(wi * profile.delta for wi in w)
-    residual = _rated_payoff_residual(c.values, kappa.values, gammas, profile)
-    return Allocation(gammas=gammas, payoffs=payoffs, residual=residual)
+    return AllocationPlan.build(ratings, capital).allocation(risk)
 
 
 def cfair_musharakah_external_mudharib(
@@ -208,47 +319,13 @@ def cfair_musharakah_external_mudharib(
     and shares the expected profit like everyone else.
     """
     c = _as_ratings(ratings)
-    kappa = _as_capital(capital)
-    if len(kappa) != len(c) - 1:
-        raise ContractError(
-            f"capital covers the {len(c) - 1} funding partners, got {len(kappa)} shares"
-        )
-    return cfair_musharakah(c, CapitalShares(kappa.values + (0.0,)), risk)
-
-
-def annuity_pv(terms: WakalahTerms) -> float:
-    """Present value of k unit payments at times T/k, 2T/k, ..., T.
-
-    Equals k when there is no discounting and (1+r)^-T for a single payment
-    at maturity. The manager's total expected payoff is this factor times
-    the periodic payment.
-    """
-    if terms.r == 0.0:
-        return float(terms.k)
-    log_growth = math.log1p(terms.r)
-    return -math.expm1(-terms.T * log_growth) / math.expm1(terms.T / terms.k * log_growth)
-
-
-def payment_factor(terms: WakalahTerms) -> float:
-    """Factor turning the manager's profit share into the periodic payment.
-
-    periodic_payment = payment_factor(terms) * weight_manager * delta. For
-    r > 0 it is ((1+r)^(T/k) - 1) / ((1+r)^T - 1); at r = 0 the expression
-    is 0/0 and the limit 1/k is returned, so the k undiscounted payments
-    add up to exactly the manager's share of the expected profit. The
-    identity annuity_pv = (1+r)^-T / payment_factor holds for r > 0.
-    """
-    if terms.r == 0.0:
-        return 1.0 / terms.k
-    log_growth = math.log1p(terms.r)
-    return math.expm1(terms.T / terms.k * log_growth) / math.expm1(terms.T * log_growth)
+    kappa = _as_capital(capital).values
+    _require_funders(kappa, len(c))
+    return AllocationPlan.build(c, kappa + (0.0,)).allocation(risk)
 
 
 def cfair_musharakah_wakalah(
-    ratings: Ratings,
-    capital: Capital,
-    risk: RiskLike,
-    terms: WakalahTerms,
+    ratings: Ratings, capital: Capital, risk: RiskLike, terms: WakalahTerms
 ) -> Allocation:
     """Allocation when the d-1 funders hire an agency manager for a fixed fee.
 
@@ -262,56 +339,9 @@ def cfair_musharakah_wakalah(
     values at time 0: weight_l * (1+r)^-T * delta, which reduces to the
     undiscounted profit split at r = 0.
     """
-    c = _as_ratings(ratings)
-    kappa = _as_capital(capital)
-    d = len(c)
-    if len(kappa) != d - 1:
-        raise ContractError(
-            f"capital covers the {d - 1} funding partners, got {len(kappa)} shares"
-        )
-    if not isinstance(terms, WakalahTerms):
+    if terms is None:
         raise ContractError(f"expected WakalahTerms, got {terms!r}")
-    profile = _as_profile(risk)
-    rho = profile.rho
-    w = sharing_weights(c)
-    manager_weight = w[d - 1]
-    gammas = tuple(
-        (manager_weight / (d - 1) + w[i]) * (1.0 - rho) + kappa[i] * rho
-        for i in range(d - 1)
-    )
-    p = payment_factor(terms) * manager_weight * profile.delta
-    discount = (1.0 + terms.r) ** (-terms.T)
-    payoffs = tuple(wi * discount * profile.delta for wi in w)
-    residual = _wakalah_residual(c.values, kappa.values, gammas, p, profile, terms)
-    return Allocation(
-        gammas=gammas,
-        payoffs=payoffs,
-        residual=residual,
-        periodic_payment=p,
-        valuation="present_value",
-    )
-
-
-def _wakalah_residual(
-    c: Sequence[float],
-    kappa: Sequence[float],
-    gammas: Sequence[float],
-    p: float,
-    profile: RiskProfile,
-    terms: WakalahTerms,
-) -> float:
-    """Rated-payoff spread for the wakalah combination, discounted payoffs."""
-    d = len(c)
-    pv = annuity_pv(terms)
-    discount = (1.0 + terms.r) ** (-terms.T)
-    manager_pay = pv * p
-    pays = [
-        discount * (g * profile.e_profit - k * profile.e_loss) - manager_pay / (d - 1)
-        for g, k in zip(gammas, kappa)
-    ]
-    pays.append(manager_pay)
-    rated = [ci * pi for ci, pi in zip(c, pays)]
-    return max(rated) - min(rated)
+    return AllocationPlan.build(ratings, capital, terms).allocation(risk)
 
 
 def two_point_fair_ratio(beta: float, r_plus: float, r_minus: float, L: float) -> float:
@@ -373,13 +403,5 @@ def dominance_threshold(
 
 
 def allocate(spec: ContractSpec, risk: RiskLike) -> Allocation:
-    """Run the closed form matching the contract's variant."""
-    if spec.variant in (Variant.FAIR_MUDHARABAH, Variant.CFAIR_MUDHARABAH):
-        return cfair_mudharabah(spec.ratings, risk)
-    if spec.variant is Variant.MUSHARAKAH_SELF_MANAGED:
-        return cfair_musharakah(spec.ratings, spec.capital, risk)
-    if spec.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
-        return cfair_musharakah_external_mudharib(spec.ratings, spec.capital, risk)
-    if spec.variant is Variant.MUSHARAKAH_WAKALAH:
-        return cfair_musharakah_wakalah(spec.ratings, spec.capital, risk, spec.wakalah)
-    raise ContractError(f"unsupported variant {spec.variant!r}")
+    """Evaluate the contract's plan at the given risk."""
+    return AllocationPlan.for_contract(spec).allocation(risk)

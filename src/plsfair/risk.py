@@ -149,7 +149,10 @@ def gbm_closed_form(params: GbmParams) -> RiskProfile:
     mu_t = params.mu * params.T
     sig_rt = params.sigma * math.sqrt(params.T)
     theta = (mu_t - 0.5 * params.sigma * params.sigma * params.T) / sig_rt
-    growth = math.exp(mu_t)
+    try:
+        growth = math.exp(mu_t)
+    except OverflowError:
+        raise ContractError(f"growth factor e^(mu T) overflows at mu T = {mu_t}") from None
     e_profit = params.L * (growth * std_normal_cdf(theta + sig_rt) - std_normal_cdf(theta))
     if abs(mu_t) < _MU_T_EPS:
         # Analytic limit; the quotient below would cancel catastrophically.

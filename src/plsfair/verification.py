@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .contracts import (
     RiskProfile,
     WakalahTerms,
 )
-from .ratios import Capital, Ratings, _as_capital, _as_ratings, annuity_pv
+from .ratios import Capital, Ratings, _as_capital, _as_ratings, annuity_pv, rated_payoff_spread
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +66,8 @@ def gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ContractError(f"matrix shape {a.shape} does not match rhs length {n}")
     for col in range(n):
         pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        assert a[pivot, col] != 0.0, "singular fairness system (impossible for positive ratings)"
+        if a[pivot, col] == 0.0:
+            raise ContractError("singular fairness system (impossible for positive ratings)")
         if pivot != col:
             a[[col, pivot]] = a[[pivot, col]]
             b[[col, pivot]] = b[[pivot, col]]
@@ -163,43 +163,6 @@ def solve_wakalah_system(
     return tuple(float(v) for v in solution[:-1]), float(solution[-1])
 
 
-def _rated_payoffs(
-    c: Sequence[float],
-    kappa: Sequence[float],
-    gammas: Sequence[float],
-    profile: RiskProfile,
-    terms: WakalahTerms | None,
-    periodic_payment: float | None,
-) -> list[float]:
-    d = len(c)
-    if terms is None:
-        if len(gammas) != d:
-            raise ContractError(f"got {len(gammas)} ratios for {d} partners")
-        if len(kappa) == d - 1:
-            kappa = tuple(kappa) + (0.0,)  # external manager funds nothing
-        elif len(kappa) != d:
-            raise ContractError(f"got {len(kappa)} capital shares for {d} partners")
-        return [
-            ci * (g * profile.e_profit - ki * profile.e_loss)
-            for ci, ki, g in zip(c, kappa, gammas)
-        ]
-    if len(gammas) != d - 1 or len(kappa) != d - 1:
-        raise ContractError(
-            f"wakalah check needs {d - 1} ratios and capital shares, got {len(gammas)} and {len(kappa)}"
-        )
-    if periodic_payment is None:
-        raise ContractError("wakalah check needs the periodic payment p")
-    pv = annuity_pv(terms)
-    discount = (1.0 + terms.r) ** (-terms.T)
-    manager_pay = pv * periodic_payment
-    pays = [
-        discount * (g * profile.e_profit - ki * profile.e_loss) - manager_pay / (d - 1)
-        for g, ki in zip(gammas, kappa)
-    ]
-    pays.append(manager_pay)
-    return [ci * pi for ci, pi in zip(c, pays)]
-
-
 def verify_allocation(
     alloc: Allocation,
     ratings: Ratings,
@@ -217,8 +180,22 @@ def verify_allocation(
     """
     c = _as_ratings(ratings).values
     kappa = _as_capital(capital).values
-    rated = _rated_payoffs(c, kappa, alloc.gammas, profile, terms, alloc.periodic_payment)
-    max_residual = max(rated) - min(rated)
+    gammas = alloc.gammas
+    d = len(c)
+    if terms is None:
+        if len(gammas) != d:
+            raise ContractError(f"got {len(gammas)} ratios for {d} partners")
+        if len(kappa) == d - 1:
+            kappa += (0.0,)  # external manager funds nothing
+        elif len(kappa) != d:
+            raise ContractError(f"got {len(kappa)} capital shares for {d} partners")
+    elif len(gammas) != d - 1 or len(kappa) != d - 1:
+        raise ContractError(
+            f"wakalah check needs {d - 1} ratios and capital shares, got {len(gammas)} and {len(kappa)}"
+        )
+    elif alloc.periodic_payment is None:
+        raise ContractError("wakalah check needs the periodic payment p")
+    max_residual = rated_payoff_spread(c, kappa, gammas, profile, terms, alloc.periodic_payment)
     simplex_residual = abs(math.fsum(alloc.gammas) - 1.0)
     scale = max(c) * profile.e_profit
     passed = max_residual <= tol * scale and simplex_residual <= tol

@@ -95,6 +95,14 @@ class TestRiskCommand:
         code, _, _ = run(capsys, ["risk", "--model", "gbm", "--bogus", "1"])
         assert code == 1
 
+    def test_growth_factor_overflow_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["risk", "--model", "gbm", "--mu", "800", "--sigma", "0.2", "--T", "1", "--L", "100"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_empirical_model(self, capsys, tmp_path):
         data = tmp_path / "draws.txt"
         data.write_text("R_T\n120\n90\n", encoding="utf-8")
@@ -158,6 +166,24 @@ class TestAllocateCommand:
         # p = (1/k) * w_manager * delta = (1/4)(1/3)(12)
         assert payload["periodic_payment"] == pytest.approx(1.0, rel=1e-12)
         assert payload["payoff_valuation"] == "present_value"
+
+    def test_wakalah_with_overflowing_maturity(self, capsys, tmp_path):
+        path = write_contract(
+            tmp_path,
+            {
+                "schema": 1,
+                "variant": "musharakah_wakalah",
+                "ratings": [2, 3, 1.25, 4],
+                "capital": [0.5, 0.3, 0.2],
+                "wakalah": {"r": 0.05, "T": 1e6, "k": 4},
+                "model": {"kind": "fixed_rho", "rho": 0.3, "delta": 5.0},
+            },
+        )
+        code, out, _ = run(capsys, ["allocate", path, "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["periodic_payment"])
+        assert payload["verification"]["passed"] is True
 
     def test_json_output_round_trips_through_verify(self, capsys, tmp_path):
         path = write_contract(
@@ -333,6 +359,14 @@ class TestSweepCommand:
         contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
         code, _, _ = run(capsys, ["sweep", contract, *bounds])
         assert code == 1
+
+    def test_unwritable_output_exits_1(self, capsys, tmp_path):
+        contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        missing = tmp_path / "missing" / "out.csv"
+        code, _, err = run(capsys, ["sweep", contract, "-o", str(missing)])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not missing.exists()
 
     def test_wakalah_sweep_has_funding_columns_only(self, capsys, tmp_path):
         contract = write_contract(

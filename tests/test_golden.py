@@ -1,0 +1,98 @@
+"""Byte-level regression guard on the CLI's numeric output.
+
+For one contract of each variant, the sha256 of ``allocate --json`` stdout
+and of a 2001-step ``sweep`` CSV are pinned. Any change to the ratio engine,
+the verifier or the formatting that moves a single bit of a printed float
+changes a digest. The digests were recorded with CPython 3.11 on x86-64
+Linux (glibc libm); the wakalah contract goes through ``log1p``/``expm1``,
+so a platform whose libm rounds those differently may disagree in the last
+bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from plsfair.cli import main
+
+CONTRACTS = {
+    "fair_mudharabah": {
+        "schema": 1,
+        "variant": "fair_mudharabah",
+        "ratings": [3, 3],
+        "model": {"kind": "fixed_rho", "rho": 0.3, "delta": 7.0},
+    },
+    "cfair_mudharabah": {
+        "schema": 1,
+        "variant": "cfair_mudharabah",
+        "ratings": [2.5, 7.0],
+        "model": {"kind": "two_point", "beta": 0.65, "r_plus": 131.0, "r_minus": 83.0},
+        "capital_amount": 100.0,
+    },
+    "musharakah_self_managed": {
+        "schema": 1,
+        "variant": "musharakah_self_managed",
+        "ratings": [3, 5, 4, 2, 6.5],
+        "capital": [0.125, 0.375, 0.25, 0.0, 0.25],
+        "model": {"kind": "fixed_rho", "rho": 0.41, "e_profit": 12.5},
+    },
+    "musharakah_external_mudharib": {
+        "schema": 1,
+        "variant": "musharakah_external_mudharib",
+        "ratings": [1.5, 4, 2, 3],
+        "capital": [0.2, 0.7, 0.1],
+        "model": {"kind": "fixed_rho", "rho": 0.17, "delta": 3.25},
+    },
+    "musharakah_wakalah": {
+        "schema": 1,
+        "variant": "musharakah_wakalah",
+        "ratings": [2, 3, 1.25, 4],
+        "capital": [0.5, 0.3, 0.2],
+        "wakalah": {"r": 0.035, "T": 7.5, "k": 6},
+        "model": {"kind": "fixed_rho", "rho": 0.62, "delta": 11.0},
+    },
+}
+
+GOLDEN = {
+    "cfair_mudharabah": (
+        "7ad6c3534061cf743d513e9a0dcff4cb231e19868164136711eb209a50646b81",
+        "1b39c9c0310ddbe3ac0e7b8bbc7281d7959d62caba2538b03cd6bb8b903100bc",
+    ),
+    "fair_mudharabah": (
+        "8e800a1d0e31f3428f9990b03f3ce020d19dc8c4391dbc228155addb3aa5669a",
+        "69c66518b2c6547b448dc57dec44d33f1482e148cc0879d228ac14ec2b033899",
+    ),
+    "musharakah_external_mudharib": (
+        "b77ad3021a1642c088130176388f7036580f0eddb0a508839059d3e8cdd89e5c",
+        "9c888d13208f9b2eb67482187fa93f8753e900a7d410a9faabc7ad657bb95679",
+    ),
+    "musharakah_self_managed": (
+        "02b144597b914cf5ac59edd2b797edee4786b9fa7e807dc1116acd041c3127e0",
+        "3673d4ee8d70efc160d880e2b52bbb6f6cd857f41797dc6bce30ae11698662e2",
+    ),
+    "musharakah_wakalah": (
+        "ce99ef30fac36138cc562d8e5b685932b26c352e991110e1195e946515af6e61",
+        "b308b62b5d46417226beec5c9f22dbac8842cc313e0671bda5d032a97ec2bc81",
+    ),
+}
+
+
+def _digests(tmp_path, capsys, name):
+    contract = tmp_path / f"{name}.json"
+    contract.write_text(json.dumps(CONTRACTS[name]), encoding="utf-8")
+    assert main(["allocate", str(contract), "--json"]) == 0
+    allocate_out = capsys.readouterr().out.encode("utf-8")
+    csv_path = tmp_path / f"{name}.csv"
+    assert main(["sweep", str(contract), "--steps", "2001", "-o", str(csv_path)]) == 0
+    return (
+        hashlib.sha256(allocate_out).hexdigest(),
+        hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTS))
+def test_output_is_byte_identical(tmp_path, capsys, name):
+    assert _digests(tmp_path, capsys, name) == GOLDEN[name]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import finite_floats, ratings_strategy, rho_strategy, simplex_strategy
 from plsfair import (
     Allocation,
+    AllocationPlan,
     ContractError,
     ContractSpec,
     DominanceRegime,
@@ -266,6 +268,45 @@ class TestAnnuityFactors:
         assert payment_factor(terms) * annuity_pv(terms) * (1.0 + r) ** T == pytest.approx(
             1.0, rel=1e-11
         )
+
+    @pytest.mark.parametrize("T, k", [(14600.0, 2), (14600.0, 20), (20000.0, 3), (1e5, 150)])
+    def test_long_maturities_in_log_space(self, T, k):
+        # (1+r)^T overflows a double here; the factors are still accurate.
+        terms = WakalahTerms(0.05, T, k)
+        with mpmath.workdps(60):
+            g = mpmath.mpf("1.05")
+            pf = (g ** (T / k) - 1) / (g**T - 1)
+            pv = (1 - g ** (-T)) / (g ** (T / k) - 1)
+        assert payment_factor(terms) == pytest.approx(float(pf), rel=1e-12)
+        assert annuity_pv(terms) == pytest.approx(float(pv), rel=1e-12)
+
+    def test_overflowing_maturity_underflows_to_zero(self):
+        terms = WakalahTerms(0.05, 1e6, 4)
+        assert payment_factor(terms) == 0.0
+        assert annuity_pv(terms) == 0.0
+
+
+class TestAllocationPlan:
+    def test_effective_vectors(self):
+        mudharabah, external, wakalah = (
+            AllocationPlan.for_contract(spec)
+            for spec in (
+                ContractSpec(Variant.CFAIR_MUDHARABAH, (2.0, 5.0)),
+                ContractSpec(Variant.MUSHARAKAH_EXTERNAL_MUDHARIB, (1, 2, 3), (0.4, 0.6)),
+                ContractSpec(
+                    Variant.MUSHARAKAH_WAKALAH, (1, 2, 3, 4), (0.2, 0.3, 0.5),
+                    WakalahTerms(0.04, 2.0, 8),
+                ),
+            )
+        )
+        assert mudharabah.kappa_eff == (1.0, 0.0)
+        assert external.kappa_eff == (0.4, 0.6, 0.0)
+        assert external.w_eff == external.weights
+        w = wakalah.weights
+        assert wakalah.w_eff == tuple(w[3] / 3 + wi for wi in w[:3])
+        assert wakalah.gammas(0.25) == cfair_musharakah_wakalah(
+            (1, 2, 3, 4), (0.2, 0.3, 0.5), 0.25, WakalahTerms(0.0, 1.0, 1)
+        ).gammas
 
 
 class TestWakalah:

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import plsfair
 from conftest import random_ratings, random_simplex
 from plsfair import (
     Allocation,
@@ -39,8 +45,26 @@ class TestGaussSolve:
 
     def test_singular_matrix_asserts(self):
         a = np.array([[1.0, 1.0], [2.0, 2.0]])
-        with pytest.raises(AssertionError):
+        with pytest.raises(ContractError, match="singular"):
             gauss_solve(a, np.array([1.0, 2.0]))
+
+    def test_singular_matrix_raises_under_optimize_flag(self):
+        # With python -O an assert would vanish and the solve return [-inf, inf].
+        code = (
+            "import numpy as np\n"
+            "from plsfair import ContractError, gauss_solve\n"
+            "try:\n"
+            "    print(gauss_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0])))\n"
+            "except ContractError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "raised"
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
