@@ -445,20 +445,23 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--seed", type=_u64, default=0, help="simulation seed (default 0)")
-    common.add_argument(
+    # Each subcommand takes only the flags it reads: risk builds a profile,
+    # allocate and verify also check against a tolerance, sweep needs none.
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    profile.add_argument("--seed", type=_u64, default=0, help="simulation seed (default 0)")
+    profile.add_argument(
         "--paths", type=_positive_int, default=DEFAULT_PATHS,
         help=f"Monte Carlo path count (default {DEFAULT_PATHS})",
     )
-    common.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL,
-        help=f"verification tolerance, relative (default {DEFAULT_TOL:g})",
-    )
-    common.add_argument(
+    profile.add_argument(
         "--simulate", action="store_true",
         help="estimate the risk profile by Monte Carlo instead of the closed form",
+    )
+    checked = argparse.ArgumentParser(add_help=False, parents=[profile])
+    checked.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help=f"verification tolerance, relative (default {DEFAULT_TOL:g})",
     )
 
     parser = argparse.ArgumentParser(
@@ -467,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p_risk = sub.add_parser("risk", parents=[common], help="compute a risk profile from a model")
+    p_risk = sub.add_parser("risk", parents=[profile], help="compute a risk profile from a model")
     p_risk.add_argument(
         "--model", required=True, choices=["gbm", "two-point", "empirical", "fixed-rho"]
     )
@@ -484,14 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk.set_defaults(func=cmd_risk)
 
     p_alloc = sub.add_parser(
-        "allocate", parents=[common], help="compute and verify the c-fair allocation"
+        "allocate", parents=[checked], help="compute and verify the c-fair allocation"
     )
     p_alloc.add_argument("contract", help="contract JSON file")
     p_alloc.set_defaults(func=cmd_allocate)
 
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="CSV of ratios over an investment-risk grid"
-    )
+    p_sweep = sub.add_parser("sweep", help="CSV of ratios over an investment-risk grid")
     p_sweep.add_argument("contract", help="contract JSON file")
     p_sweep.add_argument("--rho-from", type=float, default=0.0)
     p_sweep.add_argument("--rho-to", type=float, default=1.0)
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="check candidate ratios against the fairness equations"
+        "verify", parents=[checked], help="check candidate ratios against the fairness equations"
     )
     p_verify.add_argument("contract", help="contract JSON file")
     p_verify.add_argument("--gammas", required=True, help="comma-separated profit ratios")

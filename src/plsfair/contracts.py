@@ -10,6 +10,7 @@ conventions).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -21,6 +22,9 @@ SIMPLEX_TOL = 1e-12
 
 #: Hard upper bound on the number of partners in a single contract.
 MAX_PARTNERS = 64
+
+#: Largest x for which math.exp(x) and math.expm1(x) are finite.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ContractError(ValueError):

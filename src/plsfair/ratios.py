@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Sequence, Union
 
 from .contracts import (
+    LOG_FLOAT_MAX,
     MUDHARABAH_CAPITAL,
     MUDHARABAH_VARIANTS,
     SIMPLEX_TOL,
@@ -52,8 +53,9 @@ Capital = Union[CapitalShares, Sequence[float]]
 # below it, direct products keep the textbook examples bit-exact.
 _DIRECT_PRODUCT_MAX = 16
 
-#: Largest x for which math.expm1(x) is finite.
-_EXPM1_MAX = math.log(sys.float_info.max)
+# Direct products outside this range are subnormal, zero or too large to
+# sum, and the log-space path is taken instead.
+_DIRECT_PRODUCT_RANGE = (sys.float_info.min, sys.float_info.max / (2 * _DIRECT_PRODUCT_MAX))
 
 _MUDHARABAH_SHARES = CapitalShares(MUDHARABAH_CAPITAL)
 
@@ -119,15 +121,16 @@ def sharing_weights(ratings: Ratings) -> WeightVector:
     """
     c = _as_ratings(ratings).values
     d = len(c)
+    prods = []
     if d <= _DIRECT_PRODUCT_MAX:
-        prods = []
         for leave_out in range(d):
             p = 1.0
             for i, ci in enumerate(c):
                 if i != leave_out:
                     p *= ci
             prods.append(p)
-    else:
+    lo, hi = _DIRECT_PRODUCT_RANGE
+    if not prods or not all(lo <= p <= hi for p in prods):
         logs = [math.log(ci) for ci in c]
         total = math.fsum(logs)
         shifted = [total - li for li in logs]
@@ -149,7 +152,7 @@ def annuity_pv(terms: WakalahTerms) -> float:
         return float(terms.k)
     log_growth = math.log1p(terms.r)
     period = terms.T / terms.k * log_growth
-    if period > _EXPM1_MAX:
+    if period > LOG_FLOAT_MAX:
         return math.exp(-period)
     return -math.expm1(-terms.T * log_growth) / math.expm1(period)
 
@@ -169,10 +172,10 @@ def payment_factor(terms: WakalahTerms) -> float:
         return 1.0 / terms.k
     log_growth = math.log1p(terms.r)
     period, maturity = terms.T / terms.k * log_growth, terms.T * log_growth
-    if maturity <= _EXPM1_MAX:
+    if maturity <= LOG_FLOAT_MAX:
         return math.expm1(period) / math.expm1(maturity)
     # log(e^x - 1) = x once e^-x is below double resolution.
-    log_period = math.log(math.expm1(period)) if period <= _EXPM1_MAX else period
+    log_period = math.log(math.expm1(period)) if period <= LOG_FLOAT_MAX else period
     return math.exp(log_period - maturity)
 
 

@@ -103,6 +103,40 @@ class TestRiskCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--mu", "800", "--sigma", "0.2", "--L", "100", "--simulate", "--paths", "1000"],
+            ["--mu", "709", "--sigma", "0.2", "--L", "100"],
+            ["--mu", "709", "--sigma", "1", "--L", "1", "--simulate", "--paths", "1000"],
+        ],
+    )
+    def test_overflowing_income_exits_1_without_warnings(self, capsys, extra):
+        code, out, err = run(capsys, ["risk", "--model", "gbm", "--T", "1", *extra])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err or "not a finite number" in err
+
+    def test_tolerance_is_not_a_risk_flag(self, capsys):
+        code, _, _ = run(
+            capsys,
+            ["risk", "--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1",
+             "--L", "100", "--tol", "1e-3"],
+        )
+        assert code == 1
+
+    def test_empirical_json_carries_all_standard_errors(self, capsys, tmp_path):
+        data = tmp_path / "draws.txt"
+        data.write_text("R_T\n120\n90\n104\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            ["risk", "--model", "empirical", "--data", str(data), "--L", "100", "--json"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert {"se_profit", "se_loss", "se_rho", "se_delta"} <= payload.keys()
+        assert payload["se_rho"] > 0.0 and payload["se_delta"] > 0.0
+
     def test_empirical_model(self, capsys, tmp_path):
         data = tmp_path / "draws.txt"
         data.write_text("R_T\n120\n90\n", encoding="utf-8")
@@ -360,6 +394,14 @@ class TestSweepCommand:
         code, _, _ = run(capsys, ["sweep", contract, *bounds])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag", [["--simulate"], ["--json"], ["--seed", "1"], ["--paths", "10"], ["--tol", "1e-3"]]
+    )
+    def test_profile_flags_are_rejected(self, capsys, tmp_path, flag):
+        contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        code, out, _ = run(capsys, ["sweep", contract, *flag])
+        assert code == 1 and out == ""
+
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
         missing = tmp_path / "missing" / "out.csv"
@@ -465,3 +507,21 @@ class TestTopLevel:
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, ["--help"])
         assert code == 0
+
+
+class TestExtremeRatings:
+    # Every leave-one-out product of these ratings underflows a double.
+    DOC = {
+        "schema": 1,
+        "variant": "musharakah_self_managed",
+        "ratings": [1e-170] * 3 + [1e170] * 3,
+        "capital": [1 / 6] * 6,
+        "model": {"kind": "fixed_rho", "rho": 0.3},
+    }
+
+    @pytest.mark.parametrize("argv", [["allocate"], ["sweep"]])
+    def test_vanishing_weights_exit_1(self, capsys, tmp_path, argv):
+        contract = write_contract(tmp_path, self.DOC)
+        code, out, err = run(capsys, [*argv, contract])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

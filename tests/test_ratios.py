@@ -37,6 +37,7 @@ from plsfair import (
     fair_mudharabah,
     payment_factor,
     sharing_weights,
+    solve_fairness_system,
     two_point_fair_ratio,
 )
 
@@ -89,6 +90,18 @@ class TestSharingWeights:
         w = sharing_weights(ratings)
         exact = [float(x) for x in weights_oracle(ratings)]
         assert w.values == pytest.approx(exact, abs=1e-13)
+
+    def test_underflowing_products_take_the_log_space_path(self):
+        # every direct leave-one-out product underflows to 0 here
+        ratings = (1e-170,) * 3 + (1.0,) * 3
+        kappa = (0.1, 0.2, 0.05, 0.3, 0.15, 0.2)
+        gammas = cfair_musharakah(ratings, kappa, 0.3).gammas
+        assert gammas == pytest.approx(solve_fairness_system(ratings, kappa, 1.0, 0.3), rel=1e-12)
+
+    def test_products_too_large_to_sum_take_the_log_space_path(self):
+        ratings = (1e300, 1e8, 1e8)
+        exact = [float(x) for x in weights_oracle(ratings)]
+        assert sharing_weights(ratings).values == pytest.approx(exact, rel=1e-12)
 
     def test_direct_and_log_space_agree_at_boundary(self):
         ratings16 = tuple(range(1, 17))

@@ -28,6 +28,7 @@ from plsfair import (
     std_normal_cdf,
     two_point_profile,
 )
+from plsfair.risk import _chunk_rng, _terminal_draws
 
 # mpmath.ncdf('1.96') to 20 digits: 0.97500210485177956586
 PHI_196 = 0.9750021048517796
@@ -135,6 +136,15 @@ class TestGbmClosedForm:
         with pytest.raises(ContractError):
             GbmParams(**kwargs)
 
+    @pytest.mark.parametrize("mu, L", [(709.0, 100.0), (800.0, 1.0), (1e300, 1e-300), (700.0, 1e300)])
+    def test_rejects_overflowing_expected_income(self, mu, L):
+        with pytest.raises(ContractError, match="overflows"):
+            GbmParams(mu=mu, sigma=0.2, T=1.0, L=L)
+
+    def test_largest_finite_expected_income_is_accepted(self):
+        profile = gbm_closed_form(GbmParams(mu=709.0, sigma=0.2, T=1.0, L=1.0))
+        assert math.isfinite(profile.e_profit) and profile.viable()
+
     def test_monte_carlo_cross_check_at_ten_million_paths(self):
         closed = gbm_closed_form(GBM_EXAMPLE)
         mc = monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=10_000_000, seed=0))
@@ -196,9 +206,32 @@ class TestEmpiricalProfile:
             empirical_profile(EmpiricalSample((99.0, 99.0, 99.0), 100.0))
 
     def test_standard_errors(self):
-        profile = empirical_profile(EmpiricalSample((120.0, 90.0, 100.0, 130.0), 100.0))
-        profits = np.maximum(np.array([120.0, 90.0, 100.0, 130.0]) - 100.0, 0.0)
-        assert profile.se_profit == pytest.approx(profits.std(ddof=1) / 2.0)
+        draws = np.array([120.0, 90.0, 100.0, 130.0, 97.5, 111.0, 64.0])
+        profile = empirical_profile(EmpiricalSample(tuple(draws), 100.0))
+        n = draws.size
+        profits = np.maximum(draws - 100.0, 0.0)
+        losses = np.maximum(100.0 - draws, 0.0)
+        assert profile.se_profit == float(profits.std(ddof=1)) / math.sqrt(n)
+        assert profile.se_loss == float(losses.std(ddof=1)) / math.sqrt(n)
+        # delta method for rho = E[Y]/E[X] and delta = E[X] - E[Y]
+        mx, my = profits.mean(), losses.mean()
+        vx, vy = profits.var(ddof=1), losses.var(ddof=1)
+        cov = np.cov(profits, losses)[0, 1]
+        rho = my / mx
+        se_rho = math.sqrt((vy + rho**2 * vx - 2 * rho * cov) / n) / mx
+        se_delta = math.sqrt((vx + vy - 2 * cov) / n)
+        assert profile.se_rho == pytest.approx(se_rho, rel=1e-13)
+        assert profile.se_delta == pytest.approx(se_delta, rel=1e-13)
+
+    def test_first_bad_draw_is_named(self):
+        with pytest.raises(ContractError, match="draw 2 must be a finite non-negative income, got nan"):
+            EmpiricalSample((120.0, float("nan"), -1.0), 100.0)
+        with pytest.raises(ContractError, match="draw 3 .* got inf"):
+            EmpiricalSample((120.0, 0.0, float("inf")), 100.0)
+
+    def test_overflowing_payoffs_are_an_error(self):
+        with pytest.raises(ContractError, match="not a finite number"):
+            empirical_profile(EmpiricalSample((1e308, 0.0), -1e308))
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ContractError):
@@ -218,6 +251,44 @@ class TestEmpiricalProfile:
 
 
 class TestMonteCarlo:
+    def test_pinned_estimates(self):
+        # a fixed config pins every bit of the means; SEs may move with the
+        # reduction order, the means may not
+        runs = [
+            (GBM_EXAMPLE, McConfig(n_paths=100_000, seed=42, chunk_size=1 << 14),
+             ("0x1.d5d7338c80976p+3", "0x1.0914b48246b12p+2",
+              "0x1.20ddedb209d89p-2", "0x1.514cd94b5d3edp+3")),
+            (TwoPointScenario(0.6, 120.0, 90.0, 100.0),
+             McConfig(n_paths=100_000, seed=7, chunk_size=1 << 14),
+             ("0x1.7ee7d566cf41fp+3", "0x1.01182a9930be1p+2",
+              "0x1.57c5b46d3f75cp-2", "0x1.fcb780346dc5dp+2")),
+        ]
+        for model, cfg, pinned in runs:
+            p = monte_carlo_profile(model, cfg)
+            assert (p.e_profit.hex(), p.e_loss.hex(), p.rho.hex(), p.delta.hex()) == pinned
+
+    def test_standard_errors_match_two_pass_over_all_chunks(self):
+        # a tiny volatility around a large mean: one-pass sums of squares
+        # lose about 1e-8 relative here, pooled two-pass moments do not
+        model = GbmParams(mu=2.0, sigma=1e-4, T=1.0, L=100.0)
+        cfg = McConfig(n_paths=200_000, seed=0, chunk_size=1 << 14)
+        starts = range(0, cfg.n_paths, cfg.chunk_size)
+        r = np.concatenate([
+            _terminal_draws(model, _chunk_rng(cfg.seed, i), min(cfg.chunk_size, cfg.n_paths - s))
+            for i, s in enumerate(starts)
+        ])
+        profile = monte_carlo_profile(model, cfg)
+        for se, side in ((profile.se_profit, r - model.L), (profile.se_loss, model.L - r)):
+            v = np.maximum(side, 0.0)
+            want = float(v.std(ddof=1)) / math.sqrt(v.size)
+            assert se == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_overflowing_draws_are_an_error(self):
+        # L e^(mu T) is finite, but the sampled incomes overflow
+        model = GbmParams(mu=709.0, sigma=1.0, T=1.0, L=1.0)
+        with pytest.raises(ContractError, match="not a finite number"):
+            monte_carlo_profile(model, McConfig(n_paths=1000, seed=0))
+
     def test_bit_identical_reruns(self):
         cfg = McConfig(n_paths=100_000, seed=42, chunk_size=1 << 14)
         first = monte_carlo_profile(GBM_EXAMPLE, cfg)
