@@ -130,11 +130,11 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float
     """Read a contract file; returns (spec, model section, capital amount)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"cannot read contract file: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ContractError(f"{path}: not valid JSON: {exc}") from exc
     spec = contract_from_dict(doc)
     model = doc.get("model") if isinstance(doc, dict) else None
@@ -156,7 +156,10 @@ def _require_number(mapping: dict[str, Any], key: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ContractError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ContractError(f"field {key!r} is out of the float range, got {value!r}") from None
 
 
 def _require_capital_amount(amount: float | None, kind: str) -> float:

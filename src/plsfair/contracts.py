@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 #: Absolute tolerance on simplex constraints (capital shares, profit ratios).
 #: All arithmetic is double precision on at most a few dozen partners, so
@@ -61,7 +61,7 @@ MANAGED_VARIANTS = frozenset(
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"expected a sequence of numbers, got {values!r}") from exc
 
 
@@ -126,6 +126,19 @@ class CapitalShares(FloatVector):
 
 #: Capital split of a plain mudharabah: the funding partner brings everything.
 MUDHARABAH_CAPITAL = (1.0, 0.0)
+
+Ratings = Union[RatingVector, Sequence[float]]
+Capital = Union[CapitalShares, Sequence[float]]
+
+
+def as_ratings(ratings: Ratings) -> RatingVector:
+    """The ratings as a validated :class:`RatingVector`."""
+    return ratings if isinstance(ratings, RatingVector) else RatingVector(ratings)
+
+
+def as_capital(capital: Capital) -> CapitalShares:
+    """The capital split as validated :class:`CapitalShares`."""
+    return capital if isinstance(capital, CapitalShares) else CapitalShares(capital)
 
 
 @dataclass(frozen=True)
@@ -239,8 +252,12 @@ class WakalahTerms:
     k: int
 
     def __post_init__(self) -> None:
-        r = float(self.r)
-        T = float(self.T)
+        try:
+            r, T = float(self.r), float(self.T)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ContractError(
+                f"discount rate and maturity must be numbers, got {self.r!r} and {self.T!r}"
+            ) from exc
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "T", T)
         if not math.isfinite(r) or r < 0.0:
@@ -249,6 +266,10 @@ class WakalahTerms:
             raise ContractError(f"maturity must be finite and > 0, got {T}")
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise ContractError(f"payment count must be a positive integer, got {self.k!r}")
+        if self.k > sys.float_info.max:
+            raise ContractError(
+                f"payment count must be at most {sys.float_info.max:g}, got a {self.k.bit_length()}-bit integer"
+            )
 
 
 @dataclass(frozen=True)
@@ -269,16 +290,11 @@ class ContractSpec:
     def __post_init__(self) -> None:
         variant = Variant(self.variant)
         object.__setattr__(self, "variant", variant)
-        ratings = self.ratings
-        if not isinstance(ratings, RatingVector):
-            ratings = RatingVector(_as_float_tuple(ratings))
-        object.__setattr__(self, "ratings", ratings)
+        object.__setattr__(self, "ratings", as_ratings(self.ratings))
         capital = self.capital
         if capital is None and variant in MUDHARABAH_VARIANTS:
-            capital = CapitalShares(MUDHARABAH_CAPITAL)
-        elif capital is not None and not isinstance(capital, CapitalShares):
-            capital = CapitalShares(_as_float_tuple(capital))
-        object.__setattr__(self, "capital", capital)
+            capital = MUDHARABAH_CAPITAL
+        object.__setattr__(self, "capital", None if capital is None else as_capital(capital))
         validate_spec(self)
 
     @property
@@ -298,8 +314,8 @@ def validate_spec(spec: ContractSpec) -> ContractSpec:
     if spec.variant in MUDHARABAH_VARIANTS:
         if d != 2:
             raise ContractError(f"{spec.variant.value} needs exactly 2 partners, got {d}")
-        k1, k2 = spec.capital.values
-        if abs(k1 - 1.0) > SIMPLEX_TOL or abs(k2) > SIMPLEX_TOL:
+        kappa = spec.capital.values
+        if len(kappa) != 2 or abs(kappa[0] - 1.0) > SIMPLEX_TOL or abs(kappa[1]) > SIMPLEX_TOL:
             raise ContractError(
                 f"{spec.variant.value} requires capital (1, 0): the funder brings all capital"
             )
@@ -320,6 +336,8 @@ def validate_spec(spec: ContractSpec) -> ContractSpec:
     if spec.variant is Variant.MUSHARAKAH_WAKALAH:
         if spec.wakalah is None:
             raise ContractError("wakalah terms (r, T, k) are required for the wakalah variant")
+        if not isinstance(spec.wakalah, WakalahTerms):
+            raise ContractError(f"wakalah terms must be WakalahTerms, got {spec.wakalah!r}")
     elif spec.wakalah is not None:
         raise ContractError(f"wakalah terms are only meaningful for the wakalah variant, not {spec.variant.value}")
     return spec

@@ -11,9 +11,11 @@ funding reward proportional to the investment risk rho. The weights are the
 normalized products of all ratings except the partner's own, so a smaller
 rating buys a larger share of the expected investment profit.
 
-The variants differ only in their effective vectors (w_eff, kappa_eff),
-which an :class:`AllocationPlan` builds once per contract; one affine
-kernel then evaluates the plan at any rho.
+The variants differ only in their effective vectors (w_eff, kappa_eff).
+A :class:`~plsfair.contracts.ContractSpec` validates a contract's shape;
+:meth:`AllocationPlan.for_contract` turns it into those vectors once, and
+one affine kernel then evaluates the plan at any rho. ``allocate`` and every
+``cfair_*`` function reduce to that plan.
 
 All operations are pure functions; anything accepting a risk argument takes
 either a :class:`~plsfair.contracts.RiskProfile` or a bare ``rho`` (which
@@ -34,20 +36,19 @@ from .contracts import (
     MUDHARABAH_VARIANTS,
     SIMPLEX_TOL,
     Allocation,
-    CapitalShares,
+    Capital,
     ContractError,
     ContractSpec,
     FloatVector,
     NonViableError,
-    RatingVector,
+    Ratings,
     RiskProfile,
     Variant,
     WakalahTerms,
+    as_ratings,
 )
 
 RiskLike = Union[RiskProfile, float]
-Ratings = Union[RatingVector, Sequence[float]]
-Capital = Union[CapitalShares, Sequence[float]]
 
 # Beyond this many partners the rating products are computed in log space;
 # below it, direct products keep the textbook examples bit-exact.
@@ -56,8 +57,6 @@ _DIRECT_PRODUCT_MAX = 16
 # Direct products outside this range are subnormal, zero or too large to
 # sum, and the log-space path is taken instead.
 _DIRECT_PRODUCT_RANGE = (sys.float_info.min, sys.float_info.max / (2 * _DIRECT_PRODUCT_MAX))
-
-_MUDHARABAH_SHARES = CapitalShares(MUDHARABAH_CAPITAL)
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,6 @@ class DominanceReport:
     note: str | None = None
 
 
-def _as_ratings(ratings: Ratings) -> RatingVector:
-    if isinstance(ratings, RatingVector):
-        return ratings
-    return RatingVector(tuple(ratings))
-
-
-def _as_capital(capital: Capital) -> CapitalShares:
-    if isinstance(capital, CapitalShares):
-        return capital
-    return CapitalShares(tuple(capital))
-
-
 def _as_profile(risk: RiskLike) -> RiskProfile:
     profile = risk if isinstance(risk, RiskProfile) else RiskProfile.from_rho(risk)
     if not profile.viable():
@@ -119,7 +106,7 @@ def sharing_weights(ratings: Ratings) -> WeightVector:
     order-reversing: the smaller a partner's rating, the larger their
     weight.
     """
-    c = _as_ratings(ratings).values
+    c = as_ratings(ratings).values
     d = len(c)
     prods = []
     if d <= _DIRECT_PRODUCT_MAX:
@@ -148,13 +135,19 @@ def annuity_pv(terms: WakalahTerms) -> float:
     the periodic payment. Where (1+r)^(T/k) would overflow, the value is
     (1+r)^(-T/k) to double precision, and may underflow to 0.
     """
-    if terms.r == 0.0:
-        return float(terms.k)
     log_growth = math.log1p(terms.r)
-    period = terms.T / terms.k * log_growth
+    period, maturity = terms.T / terms.k * log_growth, terms.T * log_growth
+    if period < sys.float_info.min:
+        # e^period - 1 is period = maturity / k itself, and may be subnormal or 0.
+        return terms.k * (-math.expm1(-maturity) / maturity) if maturity else float(terms.k)
     if period > LOG_FLOAT_MAX:
         return math.exp(-period)
-    return -math.expm1(-terms.T * log_growth) / math.expm1(period)
+    return -math.expm1(-maturity) / math.expm1(period)
+
+
+def discount_factor(terms: WakalahTerms) -> float:
+    """(1+r)^-T, the factor discounting a maturity payoff to time 0; may underflow to 0."""
+    return (1.0 + terms.r) ** (-terms.T)
 
 
 def payment_factor(terms: WakalahTerms) -> float:
@@ -168,10 +161,11 @@ def payment_factor(terms: WakalahTerms) -> float:
     (1+r)^T would overflow, the quotient is taken in log space and may
     underflow to 0.
     """
-    if terms.r == 0.0:
-        return 1.0 / terms.k
     log_growth = math.log1p(terms.r)
     period, maturity = terms.T / terms.k * log_growth, terms.T * log_growth
+    if period < sys.float_info.min:
+        # e^period - 1 is period = maturity / k itself, and may be subnormal or 0.
+        return (maturity / math.expm1(maturity) if maturity else 1.0) / terms.k
     if maturity <= LOG_FLOAT_MAX:
         return math.expm1(period) / math.expm1(maturity)
     # log(e^x - 1) = x once e^-x is below double resolution.
@@ -197,7 +191,7 @@ def rated_payoff_spread(
     e_profit, e_loss = profile.e_profit, profile.e_loss
     pays = [g * e_profit - k * e_loss for g, k in zip(gammas, kappa)]
     if terms is not None:
-        discount = (1.0 + terms.r) ** (-terms.T)
+        discount = discount_factor(terms)
         manager_pay = annuity_pv(terms) * periodic_payment
         share = manager_pay / (len(ratings) - 1)
         pays = [discount * pay - share for pay in pays] + [manager_pay]
@@ -213,8 +207,9 @@ class AllocationPlan:
     kappa_eff to (1, 0), an external mudharib's kappa gets a trailing 0, and
     under wakalah (``terms`` set) the d-1 funders absorb the manager's
     weight equally, w_eff_l = w_d/(d-1) + w_l, while the manager is paid a
-    periodic fee. Building a plan validates the inputs and computes the
-    sharing weights once; evaluating it needs only the risk.
+    periodic fee. The spec has already validated the contract's shape; the
+    plan computes the sharing weights once, and evaluating it needs only the
+    risk.
     """
 
     ratings: tuple[float, ...]
@@ -224,34 +219,18 @@ class AllocationPlan:
     terms: WakalahTerms | None = None
 
     @classmethod
-    def build(
-        cls, ratings: Ratings, capital: Capital, terms: WakalahTerms | None = None
-    ) -> AllocationPlan:
-        """Plan from the capital of every partner, or with wakalah terms of the d-1 funders."""
-        c = _as_ratings(ratings)
-        kappa = _as_capital(capital).values
-        d = len(c)
-        if terms is None and len(kappa) != d:
-            raise ContractError(
-                f"need one capital share per partner: got {len(kappa)} shares for {d} ratings"
-            )
-        if terms is not None:
-            _require_funders(kappa, d)
-            if not isinstance(terms, WakalahTerms):
-                raise ContractError(f"expected WakalahTerms, got {terms!r}")
-        w = sharing_weights(c).values
-        if terms is None:
-            return cls(c.values, w, w, kappa)
-        return cls(c.values, w, tuple(w[d - 1] / (d - 1) + wi for wi in w[: d - 1]), kappa, terms)
-
-    @classmethod
     def for_contract(cls, spec: ContractSpec) -> AllocationPlan:
-        """Plan a validated contract spec of any variant."""
+        """Plan a contract spec of any variant."""
+        c, kappa, terms = spec.ratings.values, spec.capital.values, spec.wakalah
+        w = sharing_weights(spec.ratings).values
         if spec.variant in MUDHARABAH_VARIANTS:
-            return cls.build(spec.ratings, _MUDHARABAH_SHARES)
-        if spec.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
-            return cls.build(spec.ratings, spec.capital.values + (0.0,))  # the manager funds nothing
-        return cls.build(spec.ratings, spec.capital, spec.wakalah)
+            kappa = MUDHARABAH_CAPITAL
+        elif spec.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
+            kappa += (0.0,)  # the manager funds nothing
+        elif terms is not None:
+            d = len(c)
+            return cls(c, w, tuple(w[d - 1] / (d - 1) + wi for wi in w[: d - 1]), kappa, terms)
+        return cls(c, w, w, kappa)
 
     def gammas(self, rho: float) -> tuple[float, ...]:
         """Profit ratios at investment risk ``rho``; rho is not validated."""
@@ -265,20 +244,13 @@ class AllocationPlan:
         terms, p, discount, delta = self.terms, None, 1.0, profile.delta
         if terms is not None:
             p = payment_factor(terms) * self.weights[-1] * delta
-            discount = (1.0 + terms.r) ** (-terms.T)
+            discount = discount_factor(terms)
         return Allocation(
             gammas=gammas,
             payoffs=tuple(w * discount * delta for w in self.weights),
             residual=rated_payoff_spread(self.ratings, self.kappa_eff, gammas, profile, terms, p),
             periodic_payment=p,
             valuation="maturity" if terms is None else "present_value",
-        )
-
-
-def _require_funders(kappa: Sequence[float], d: int) -> None:
-    if len(kappa) != d - 1:
-        raise ContractError(
-            f"capital covers the {d - 1} funding partners, got {len(kappa)} shares"
         )
 
 
@@ -301,15 +273,12 @@ def cfair_mudharabah(ratings: Ratings, risk: RiskLike) -> Allocation:
     with weights (w_1, w_2) = (c_2, c_1) / (c_1 + c_2). The partners split
     the expected investment profit as (w_1, w_2).
     """
-    c = _as_ratings(ratings)
-    if len(c) != 2:
-        raise ContractError(f"mudharabah has exactly 2 partners, got {len(c)} ratings")
-    return AllocationPlan.build(c, _MUDHARABAH_SHARES).allocation(risk)
+    return allocate(ContractSpec(Variant.CFAIR_MUDHARABAH, ratings), risk)
 
 
 def cfair_musharakah(ratings: Ratings, capital: Capital, risk: RiskLike) -> Allocation:
     """Self-managed d-partner allocation: everyone funds, everyone manages."""
-    return AllocationPlan.build(ratings, capital).allocation(risk)
+    return allocate(ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, ratings, capital), risk)
 
 
 def cfair_musharakah_external_mudharib(
@@ -321,10 +290,7 @@ def cfair_musharakah_external_mudharib(
     pinned at zero: the manager (rated last) earns gamma_d = w_d (1 - rho)
     and shares the expected profit like everyone else.
     """
-    c = _as_ratings(ratings)
-    kappa = _as_capital(capital).values
-    _require_funders(kappa, len(c))
-    return AllocationPlan.build(c, kappa + (0.0,)).allocation(risk)
+    return allocate(ContractSpec(Variant.MUSHARAKAH_EXTERNAL_MUDHARIB, ratings, capital), risk)
 
 
 def cfair_musharakah_wakalah(
@@ -342,9 +308,7 @@ def cfair_musharakah_wakalah(
     values at time 0: weight_l * (1+r)^-T * delta, which reduces to the
     undiscounted profit split at r = 0.
     """
-    if terms is None:
-        raise ContractError(f"expected WakalahTerms, got {terms!r}")
-    return AllocationPlan.build(ratings, capital, terms).allocation(risk)
+    return allocate(ContractSpec(Variant.MUSHARAKAH_WAKALAH, ratings, capital, terms), risk)
 
 
 def two_point_fair_ratio(beta: float, r_plus: float, r_minus: float, L: float) -> float:

@@ -25,12 +25,12 @@ from typing import Union
 
 import numpy as np
 
-from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile
+from .contracts import LOG_FLOAT_MAX, SIMPLEX_TOL, ContractError, RiskProfile
 
 _SQRT2 = math.sqrt(2.0)
 
-# Below this drift-times-horizon the closed-form rho quotient is a 0/0 in
-# the making; the analytic limit (rho = 1, delta = 0) is returned instead.
+# Below this |drift-times-horizon| the analytic limit (rho = 1, delta = 0)
+# is returned, so the mu = 0 boundary reads as exactly viable.
 _MU_T_EPS = 1e-10
 
 
@@ -143,24 +143,46 @@ def gbm_closed_form(params: GbmParams) -> RiskProfile:
     """Exact risk profile of the log-normal terminal income.
 
     With theta = (2 mu - sigma^2) T / (2 sigma sqrt(T)) and Phi the standard
-    normal CDF:
+    normal CDF, the call and put sides are
 
         e_profit = L (e^(mu T) Phi(theta + sigma sqrt(T)) - Phi(theta))
+        e_loss   = L (Phi(-theta) - e^(mu T) Phi(-theta - sigma sqrt(T)))
         delta    = L (e^(mu T) - 1)
 
-    and e_loss = e_profit - delta. The investment is viable iff mu >= 0
-    (the mu = 0 boundary carries rho = 1, delta = 0).
+    each formed directly, so a small e_loss keeps its relative accuracy
+    instead of cancelling out of e_profit - delta. The investment is viable
+    iff mu >= 0 (the mu = 0 boundary carries rho = 1, delta = 0).
     """
     mu_t = params.mu * params.T
     sig_rt = params.sigma * math.sqrt(params.T)
-    theta = (mu_t - 0.5 * params.sigma * params.sigma * params.T) / sig_rt
-    e_profit = params.L * (math.exp(mu_t) * std_normal_cdf(theta + sig_rt) - std_normal_cdf(theta))
+    variance = params.sigma * params.sigma * params.T
+    if not 0.0 < variance < math.inf:
+        raise ContractError(
+            f"log-income variance sigma^2 T = {variance} at sigma = {params.sigma}, T = {params.T} "
+            "is not a positive float"
+        )
+    theta = (mu_t - 0.5 * variance) / sig_rt
+    growth = math.exp(mu_t)
+    e_profit = params.L * (growth * std_normal_cdf(theta + sig_rt) - std_normal_cdf(theta))
     if abs(mu_t) < _MU_T_EPS:
-        # Analytic limit; the quotient below would cancel catastrophically.
+        # Analytic limit; the quotient below would round either side of 1.
         return RiskProfile(e_profit=e_profit, e_loss=e_profit, rho=1.0, delta=0.0)
+    e_loss = max(params.L * (std_normal_cdf(-theta) - growth * std_normal_cdf(-theta - sig_rt)), 0.0)
     delta = params.L * math.expm1(mu_t)
-    e_loss = max(e_profit - delta, 0.0)
-    return RiskProfile(e_profit=e_profit, e_loss=e_loss, rho=e_loss / e_profit, delta=e_profit - e_loss)
+    if abs(e_profit - e_loss - delta) > SIMPLEX_TOL * max(1.0, e_profit, e_loss):
+        # Both sides cancelled (sigma sqrt(T) tiny against a large L): keep the
+        # smaller side and rebuild the larger one by parity, e_profit - e_loss = delta.
+        if delta >= 0.0:
+            e_profit = e_loss + delta
+        else:
+            e_loss = e_profit - delta
+    rho = e_loss / e_profit if e_profit > 0.0 else math.inf
+    if rho == math.inf:
+        raise ContractError(
+            f"expected profit {e_profit} underflows at mu = {params.mu}, sigma = {params.sigma}, "
+            f"T = {params.T}: the risk ratio e_loss / e_profit is not representable"
+        )
+    return RiskProfile(e_profit=e_profit, e_loss=e_loss, rho=rho, delta=delta)
 
 
 def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
@@ -271,7 +293,10 @@ def load_empirical_draws(path: Union[str, PathLike]) -> tuple[float, ...]:
     An optional first-line header ``R_T`` is skipped; blank lines are
     ignored; both LF and CRLF endings are accepted.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractError(f"cannot read draws file: {exc}") from exc
     draws: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -18,11 +18,15 @@ import numpy as np
 
 from .contracts import (
     Allocation,
+    Capital,
     ContractError,
+    Ratings,
     RiskProfile,
     WakalahTerms,
+    as_capital,
+    as_ratings,
 )
-from .ratios import Capital, Ratings, _as_capital, _as_ratings, annuity_pv, rated_payoff_spread
+from .ratios import annuity_pv, discount_factor, rated_payoff_spread
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +91,8 @@ def musharakah_system(
     ratings: Ratings, capital: Capital, e_profit: float, e_loss: float
 ) -> FairnessSystem:
     """Stack the d-1 pairwise rated-payoff equalities plus sum(gamma) = 1."""
-    c = _as_ratings(ratings).values
-    kappa = _as_capital(capital).values
+    c = as_ratings(ratings).values
+    kappa = as_capital(capital).values
     d = len(c)
     if len(kappa) != d:
         raise ContractError(f"got {len(kappa)} capital shares for {d} partners")
@@ -129,15 +133,20 @@ def wakalah_system(
     manager's is annuity_pv * p. Each rated partner payoff is equated to the
     manager's rated payoff, and the gammas sum to 1.
     """
-    c = _as_ratings(ratings).values
-    kappa = _as_capital(capital).values
+    c = as_ratings(ratings).values
+    kappa = as_capital(capital).values
     d = len(c)
     if len(kappa) != d - 1:
         raise ContractError(f"got {len(kappa)} capital shares for {d - 1} funding partners")
     if e_profit <= 0.0:
         raise ContractError(f"expected profit must be positive, got {e_profit}")
     pv = annuity_pv(terms)
-    discount = (1.0 + terms.r) ** (-terms.T)
+    discount = discount_factor(terms)
+    if discount == 0.0:
+        raise ContractError(
+            f"discount (1+r)^-T underflows to 0 at r = {terms.r}, T = {terms.T}: "
+            "every funder's payoff vanishes and the wakalah system has no unique solution"
+        )
     a = np.zeros((d, d))
     b = np.zeros(d)
     for j in range(d - 1):
@@ -178,8 +187,8 @@ def verify_allocation(
     deviation and the simplex defect, and passes iff both are within ``tol``
     (the fairness residual relative to max(ratings) * e_profit).
     """
-    c = _as_ratings(ratings).values
-    kappa = _as_capital(capital).values
+    c = as_ratings(ratings).values
+    kappa = as_capital(capital).values
     gammas = alloc.gammas
     d = len(c)
     if terms is None:

@@ -117,6 +117,21 @@ class TestRiskCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows" in err or "not a finite number" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--model", "gbm", "--mu", "-700", "--sigma", "0.1", "--T", "1"],
+            ["--model", "gbm", "--mu", "0.1", "--sigma", "1e200", "--T", "1"],
+            ["--model", "empirical", "--data", "missing-draws.txt"],
+            ["--model", "empirical", "--data", "."],
+        ],
+    )
+    def test_unrepresentable_or_unreadable_inputs_exit_1(self, capsys, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["risk", *extra, "--L", "100"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_tolerance_is_not_a_risk_flag(self, capsys):
         code, _, _ = run(
             capsys,

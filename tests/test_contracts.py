@@ -21,6 +21,7 @@ from plsfair import (
     validate_spec,
 )
 from plsfair.cli import contract_from_dict, contract_to_dict
+from plsfair.contracts import as_capital, as_ratings
 
 
 class TestRatingVector:
@@ -140,6 +141,10 @@ class TestWakalahTerms:
             dict(r=0.0, T=1.0, k=1.5),
             dict(r=0.0, T=1.0, k=True),
             dict(r=float("nan"), T=1.0, k=1),
+            dict(r="x", T=1.0, k=1),
+            dict(r=0.0, T=[1.0], k=1),
+            dict(r=10**400, T=1.0, k=1),
+            dict(r=0.0, T=1.0, k=10**400),
         ],
     )
     def test_rejects_bad_terms(self, kwargs):
@@ -224,6 +229,27 @@ class TestContractSpec:
     def test_missing_capital_for_musharakah(self):
         with pytest.raises(ContractError):
             ContractSpec(variant=Variant.MUSHARAKAH_SELF_MANAGED, ratings=(1, 1))
+
+    def test_wakalah_terms_must_be_wakalah_terms(self):
+        with pytest.raises(ContractError, match="WakalahTerms"):
+            ContractSpec(
+                Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (0.5, 0.5), {"r": 0, "T": 1, "k": 2}
+            )
+
+    @pytest.mark.parametrize("capital", [(1.0,), (1.0, 0.0, 0.0)])
+    def test_mudharabah_capital_of_the_wrong_length(self, capital):
+        with pytest.raises(ContractError, match="requires capital"):
+            ContractSpec(Variant.FAIR_MUDHARABAH, (1, 1), capital)
+
+    @pytest.mark.parametrize("ratings", [5, (10**400, 1), ("x", 1)])
+    def test_unconvertible_ratings_are_contract_errors(self, ratings):
+        with pytest.raises(ContractError, match="sequence of numbers"):
+            ContractSpec(Variant.CFAIR_MUDHARABAH, ratings)
+
+    def test_coercion_keeps_validated_vectors(self):
+        ratings, capital = RatingVector((1.0, 2.0)), CapitalShares((0.5, 0.5))
+        assert as_ratings(ratings) is ratings and as_capital(capital) is capital
+        assert as_ratings([1, 2]) == ratings and as_capital([0.5, 0.5]) == capital
 
 
 # ---------------------------------------------------------------------------

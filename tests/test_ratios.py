@@ -298,6 +298,21 @@ class TestAnnuityFactors:
         assert payment_factor(terms) == 0.0
         assert annuity_pv(terms) == 0.0
 
+    @pytest.mark.parametrize(
+        "r, T, k",
+        [(1.7e-245, 1.0, 10**300), (1e-320, 1e-5, 3), (0.05, 1.0, 10**307), (0.3, 2.0, 10**308)],
+        ids=["tiny-r-huge-k", "subnormal-r", "k-1e307", "k-1e308"],
+    )
+    def test_per_payment_growth_below_the_normal_floats(self, r, T, k):
+        # (1+r)^(T/k) - 1 is subnormal or 0 here; both factors stay accurate.
+        terms = WakalahTerms(r, T, k)
+        with mpmath.workdps(60):
+            m = T * mpmath.log1p(mpmath.mpf(r))
+            pf = mpmath.expm1(m / k) / mpmath.expm1(m)
+            pv = -mpmath.expm1(-m) / mpmath.expm1(m / k)
+        assert payment_factor(terms) == pytest.approx(float(pf), rel=1e-12)
+        assert annuity_pv(terms) == pytest.approx(float(pv), rel=1e-12)
+
 
 class TestAllocationPlan:
     def test_effective_vectors(self):
@@ -320,6 +335,33 @@ class TestAllocationPlan:
         assert wakalah.gammas(0.25) == cfair_musharakah_wakalah(
             (1, 2, 3, 4), (0.2, 0.3, 0.5), 0.25, WakalahTerms(0.0, 1.0, 1)
         ).gammas
+
+    def test_mudharabah_plan_pins_the_capital_exactly(self):
+        spec = ContractSpec(Variant.CFAIR_MUDHARABAH, (2.0, 5.0), (1.0, 1e-13))
+        assert AllocationPlan.for_contract(spec).kappa_eff == (1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: cfair_mudharabah((1, 2, 3), 0.5), "cfair_mudharabah needs exactly 2 partners"),
+            (lambda: cfair_musharakah((1, 1, 1), (0.5, 0.5), 0.5), "one capital share per partner"),
+            (
+                lambda: cfair_musharakah_external_mudharib((1, 1, 1), (0.5, 0.3, 0.2), 0.5),
+                "capital for the 2 funding partners",
+            ),
+            (
+                lambda: cfair_musharakah_wakalah((1, 1, 1), (0.5, 0.5), 0.5, None),
+                r"wakalah terms \(r, T, k\) are required",
+            ),
+            (
+                lambda: cfair_musharakah_wakalah((1, 1, 1), (0.5, 0.5), 0.5, {"r": 0, "T": 1, "k": 2}),
+                "must be WakalahTerms",
+            ),
+        ],
+    )
+    def test_cfair_functions_report_the_spec_error(self, call, message):
+        with pytest.raises(ContractError, match=message):
+            call()
 
 
 class TestWakalah:

@@ -42,6 +42,19 @@ GBM_DELTA = 10.517091807564762  # 100 * expm1(0.1)
 GBM_EXAMPLE = GbmParams(mu=0.1, sigma=0.2, T=1.0, L=100.0)
 
 
+def gbm_reference(mu: float, sigma: float, T: float, L: float) -> tuple:
+    """(e_profit, e_loss) of the log-normal income at 80 digits: the call and the put."""
+    with mpmath.workdps(80):
+        mu, sigma, T, L = (mpmath.mpf(v) for v in (mu, sigma, T, L))
+        vol = sigma * mpmath.sqrt(T)
+        theta = (mu * T - sigma * sigma * T / 2) / vol
+        growth = mpmath.exp(mu * T)
+        return (
+            L * (growth * mpmath.ncdf(theta + vol) - mpmath.ncdf(theta)),
+            L * (mpmath.ncdf(-theta) - growth * mpmath.ncdf(-theta - vol)),
+        )
+
+
 class TestStdNormalCdf:
     def test_center(self):
         assert std_normal_cdf(0.0) == 0.5
@@ -144,6 +157,45 @@ class TestGbmClosedForm:
     def test_largest_finite_expected_income_is_accepted(self):
         profile = gbm_closed_form(GbmParams(mu=709.0, sigma=0.2, T=1.0, L=1.0))
         assert math.isfinite(profile.e_profit) and profile.viable()
+
+    def test_loss_side_against_mpmath_grid(self):
+        for mu in (-5.0, -1.0, -0.3, -0.05, 1e-3, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0):
+            for sigma in (0.01, 0.1, 0.2, 1.0, 3.0):
+                for T in (0.1, 1.0, 10.0, 100.0):
+                    e_profit, e_loss = gbm_reference(mu, sigma, T, 100.0)
+                    if e_profit < 1e-290:  # no normal double holds the expected profit
+                        continue
+                    p = gbm_closed_form(GbmParams(mu, sigma, T, 100.0))
+                    if e_loss < 1e-290:
+                        assert p.e_loss < 1e-280
+                        continue
+                    assert abs(p.e_loss / e_loss - 1) <= 1e-8, (mu, sigma, T)
+                    assert abs(p.rho / (e_loss / e_profit) - 1) <= 1e-8, (mu, sigma, T)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, T, L",
+        [(0.0374, 1.41e-4, 1.15e-3, 1.82e5), (-1.02e-6, 1.03e-4, 1.74, 6.26e5), (3.62e-6, 2.03e-4, 9.04e-3, 7.4e8)],
+    )
+    def test_tiny_volatility_against_a_large_capital_is_consistent(self, mu, sigma, T, L):
+        # Both direct forms cancel here; the larger side comes from parity.
+        p = gbm_closed_form(GbmParams(mu, sigma, T, L))
+        e_profit, e_loss = gbm_reference(mu, sigma, T, L)
+        assert p.delta == L * math.expm1(mu * T)
+        assert p.e_profit == pytest.approx(float(e_profit), rel=1e-8)
+        assert p.e_loss == pytest.approx(float(e_loss), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, T, match",
+        [
+            (-700.0, 0.1, 1.0, "expected profit .* underflows"),
+            (-1e300, 0.1, 1e10, "expected profit .* underflows"),
+            (0.1, 1e200, 1.0, "variance"),
+            (0.1, 1e-300, 1e-300, "variance"),
+        ],
+    )
+    def test_unrepresentable_profiles_are_errors(self, mu, sigma, T, match):
+        with pytest.raises(ContractError, match=match):
+            gbm_closed_form(GbmParams(mu, sigma, T, 100.0))
 
     def test_monte_carlo_cross_check_at_ten_million_paths(self):
         closed = gbm_closed_form(GBM_EXAMPLE)
@@ -371,6 +423,11 @@ class TestDrawsFile:
         path.write_text("120.0\nbogus\n", encoding="utf-8")
         with pytest.raises(ContractError):
             load_empirical_draws(path)
+
+    def test_unreadable_paths_rejected(self, tmp_path):
+        for path in (tmp_path / "missing.txt", tmp_path):
+            with pytest.raises(ContractError, match="cannot read draws file"):
+                load_empirical_draws(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "draws.txt"

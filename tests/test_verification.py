@@ -173,6 +173,13 @@ class TestWakalahSystem:
         with pytest.raises(ContractError):
             wakalah_system((1, 1, 1), (0.5, 0.3, 0.2), 1.0, 0.5, WakalahTerms(0.0, 1.0, 1))
 
+    def test_discount_underflow_is_named(self):
+        terms = WakalahTerms(0.05, 1e6, 4)
+        with pytest.raises(ContractError, match="discount .* underflows"):
+            wakalah_system((1, 1, 1), (0.5, 0.5), 1.0, 0.5, terms)
+        with pytest.raises(ContractError, match="discount .* underflows"):
+            solve_wakalah_system((1, 1, 1), (0.5, 0.5), 1.0, 0.5, terms)
+
 
 class TestVerifyAllocation:
     def test_closed_form_passes(self):
