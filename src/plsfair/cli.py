@@ -60,7 +60,7 @@ from .risk import (
     monte_carlo_profile,
     two_point_profile,
 )
-from .verification import verify_allocation
+from .verification import VerificationReport, verify_allocation
 
 DEFAULT_TOL = 1e-9
 DEFAULT_PATHS = 1_000_000
@@ -319,6 +319,16 @@ def _contract_and_profile(args: argparse.Namespace, purpose: str) -> tuple[Contr
     return spec, profile
 
 
+def _report_payload(report: VerificationReport, tol: float) -> dict[str, Any]:
+    """The verification block of ``allocate --json`` and the body of ``verify --json``."""
+    return {
+        "max_fairness_residual": report.max_fairness_residual,
+        "simplex_residual": report.simplex_residual,
+        "passed": report.passed,
+        "tol": tol,
+    }
+
+
 def cmd_allocate(args: argparse.Namespace) -> int:
     spec, profile = _contract_and_profile(args, "allocation")
     alloc = allocate(spec, profile)
@@ -334,12 +344,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
             "payoff_valuation": alloc.valuation,
             "periodic_payment": alloc.periodic_payment,
             "residual": alloc.residual,
-            "verification": {
-                "max_fairness_residual": report.max_fairness_residual,
-                "simplex_residual": report.simplex_residual,
-                "passed": report.passed,
-                "tol": args.tol,
-            },
+            "verification": _report_payload(report, args.tol),
         }
         print(json.dumps(payload))
     else:
@@ -410,16 +415,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         candidate, spec.ratings, spec.capital, profile, spec.wakalah, tol=args.tol
     )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "max_fairness_residual": report.max_fairness_residual,
-                    "simplex_residual": report.simplex_residual,
-                    "passed": report.passed,
-                    "tol": args.tol,
-                }
-            )
-        )
+        print(json.dumps(_report_payload(report, args.tol)))
     else:
         status = "PASS" if report.passed else "FAIL"
         print(

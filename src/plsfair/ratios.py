@@ -8,8 +8,9 @@ resulting profit-sharing ratio decomposes the same way:
 
 a labour reward proportional to the investment opportunity (1 - rho) plus a
 funding reward proportional to the investment risk rho. The weights are the
-normalized products of all ratings except the partner's own, so a smaller
-rating buys a larger share of the expected investment profit.
+normalized products of all ratings except the partner's own, or equally the
+normalized reciprocal ratings, weight_l = (1/c_l) / sum_j (1/c_j), so a
+smaller rating buys a larger share of the expected investment profit.
 
 The variants differ only in their effective vectors (w_eff, kappa_eff).
 A :class:`~plsfair.contracts.ContractSpec` validates a contract's shape;
@@ -47,16 +48,9 @@ from .contracts import (
     WakalahTerms,
     as_ratings,
 )
+from .risk import TwoPointScenario, two_point_profile
 
 RiskLike = Union[RiskProfile, float]
-
-# Beyond this many partners the rating products are computed in log space;
-# below it, direct products keep the textbook examples bit-exact.
-_DIRECT_PRODUCT_MAX = 16
-
-# Direct products outside this range are subnormal, zero or too large to
-# sum, and the log-space path is taken instead.
-_DIRECT_PRODUCT_RANGE = (sys.float_info.min, sys.float_info.max / (2 * _DIRECT_PRODUCT_MAX))
 
 
 @dataclass(frozen=True)
@@ -101,30 +95,19 @@ def _as_profile(risk: RiskLike) -> RiskProfile:
 def sharing_weights(ratings: Ratings) -> WeightVector:
     """Weights with which the partners split the expected investment profit.
 
-    Weight l is the product of every rating except partner l's, normalized
-    across partners. The map is homogeneous of degree 0 in the ratings and
-    order-reversing: the smaller a partner's rating, the larger their
-    weight.
+    Weight l is the product of every rating except partner l's, normalized:
+    prod_{i != l} c_i / sum_j prod_{i != j} c_i = (1/c_l) / sum_j (1/c_j).
+    It is formed as u_l = min(c) / c_l in (0, 1] over fsum(u), three
+    roundings (about 4.4e-16 relative) that cannot overflow; a rating spread
+    beyond the float range underflows to a zero weight, which
+    :class:`WeightVector` rejects. The smaller a partner's rating, the
+    larger their weight.
     """
     c = as_ratings(ratings).values
-    d = len(c)
-    prods = []
-    if d <= _DIRECT_PRODUCT_MAX:
-        for leave_out in range(d):
-            p = 1.0
-            for i, ci in enumerate(c):
-                if i != leave_out:
-                    p *= ci
-            prods.append(p)
-    lo, hi = _DIRECT_PRODUCT_RANGE
-    if not prods or not all(lo <= p <= hi for p in prods):
-        logs = [math.log(ci) for ci in c]
-        total = math.fsum(logs)
-        shifted = [total - li for li in logs]
-        peak = max(shifted)
-        prods = [math.exp(s - peak) for s in shifted]
-    norm = math.fsum(prods)
-    return WeightVector(tuple(p / norm for p in prods))
+    smallest = min(c)
+    u = [smallest / ci for ci in c]
+    norm = math.fsum(u)
+    return WeightVector(tuple(ul / norm for ul in u))
 
 
 def annuity_pv(terms: WakalahTerms) -> float:
@@ -257,12 +240,11 @@ class AllocationPlan:
 def fair_mudharabah(risk: RiskLike) -> tuple[float, float]:
     """Ratios equalizing the funder's and the worker's expected payoffs.
 
-    Returns (gamma_funder, gamma_worker) = ((1 + rho)/2, (1 - rho)/2). At
-    rho = 1 the whole profit share goes to the funder and the worker works
-    for an expected payoff of zero.
+    Returns (gamma_funder, gamma_worker) = ((1 + rho)/2, (1 - rho)/2), the
+    c-fair mudharabah at equal ratings. At rho = 1 the whole profit share
+    goes to the funder and the worker works for an expected payoff of zero.
     """
-    rho = _as_profile(risk).rho
-    return 0.5 * (1.0 + rho), 0.5 * (1.0 - rho)
+    return allocate(ContractSpec(Variant.FAIR_MUDHARABAH, (1.0, 1.0)), risk).gammas
 
 
 def cfair_mudharabah(ratings: Ratings, risk: RiskLike) -> Allocation:
@@ -319,17 +301,11 @@ def two_point_fair_ratio(beta: float, r_plus: float, r_minus: float, L: float) -
 
         gamma_1 = (1 + (1 - beta)/beta * (L - r_minus)/(r_plus - L)) / 2
 
-    which coincides with ``fair_mudharabah`` evaluated at the two-point
-    scenario's investment risk.
+    which is ``fair_mudharabah`` evaluated at the two-point scenario's
+    investment risk, and is computed that way. A scenario whose risk
+    exceeds 1 raises :class:`NonViableError`.
     """
-    beta = float(beta)
-    if not 0.0 < beta <= 1.0:
-        raise ContractError(f"success probability must lie in (0, 1], got {beta}")
-    if not r_plus > L:
-        raise ContractError(f"success revenue {r_plus} must exceed the capital {L}")
-    if not r_minus <= L:
-        raise ContractError(f"failure revenue {r_minus} cannot exceed the capital {L}")
-    return 0.5 * (1.0 + (1.0 - beta) / beta * (L - r_minus) / (r_plus - L))
+    return fair_mudharabah(two_point_profile(TwoPointScenario(float(beta), r_plus, r_minus, L)))[0]
 
 
 def dominance_threshold(

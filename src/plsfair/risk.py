@@ -40,12 +40,7 @@ def std_normal_cdf(x: float) -> float:
     Delegates to the C library's erfc, which keeps the relative accuracy
     needed deep in the tails where naive series lose everything.
     """
-    phi = 0.5 * math.erfc(-x / _SQRT2)
-    if phi < 0.0:
-        return 0.0
-    if phi > 1.0:
-        return 1.0
-    return phi
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 @dataclass(frozen=True)

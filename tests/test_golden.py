@@ -70,11 +70,11 @@ GOLDEN = {
         "9c888d13208f9b2eb67482187fa93f8753e900a7d410a9faabc7ad657bb95679",
     ),
     "musharakah_self_managed": (
-        "02b144597b914cf5ac59edd2b797edee4786b9fa7e807dc1116acd041c3127e0",
+        "ae4bc0c4460693a7d7f634277cd1c3834c2bd3b78a81e1ae219c718600a099f1",
         "3673d4ee8d70efc160d880e2b52bbb6f6cd857f41797dc6bce30ae11698662e2",
     ),
     "musharakah_wakalah": (
-        "ce99ef30fac36138cc562d8e5b685932b26c352e991110e1195e946515af6e61",
+        "652dc349e50f8c1c80bffa144a23fce0c49273dbef071e9ba6515dd10ae6b2ec",
         "b308b62b5d46417226beec5c9f22dbac8842cc313e0671bda5d032a97ec2bc81",
     ),
 }

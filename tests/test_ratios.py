@@ -9,6 +9,7 @@ published two- and four-partner cases.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -109,6 +110,23 @@ class TestSharingWeights:
         for r in (ratings16, ratings17):
             exact = [float(x) for x in weights_oracle(r)]
             assert sharing_weights(r).values == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 17, 32, 64])
+    def test_relative_accuracy_against_the_product_definition(self, d):
+        # 25 seeded vectors, ratings log-uniform over 1e-3..1e3; the error of
+        # each float weight is measured exactly against the rational
+        # leave-one-out products, so no rounding enters the reference.
+        rng = random.Random(20251018 + d)
+        worst = 0.0
+        for _ in range(25):
+            ratings = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(d)]
+            for w, exact in zip(sharing_weights(ratings).values, weights_oracle(ratings)):
+                worst = max(worst, float(abs(Fraction(w) - exact) / exact))
+        assert worst <= 4.5e-16
+
+    def test_spread_beyond_the_float_range_is_a_zero_weight(self):
+        with pytest.raises(ContractError, match="weight 2 must be positive"):
+            sharing_weights((1e-200, 1e200))
 
 
 class TestFairMudharabah:
@@ -445,6 +463,16 @@ class TestTwoPointFairRatio:
     def test_rejects_bad_scenarios(self, kwargs):
         with pytest.raises(ContractError):
             two_point_fair_ratio(**kwargs)
+
+    def test_risk_above_one_is_not_viable(self):
+        # rho = 0.9 * 100 / (0.1 * 10) = 90: no fair ratio exists
+        with pytest.raises(NonViableError):
+            two_point_fair_ratio(0.1, 110.0, 0.0, 100.0)
+
+    @pytest.mark.parametrize("r_plus, r_minus", [(math.inf, 90.0), (120.0, -math.inf)])
+    def test_infinite_revenues_are_rejected(self, r_plus, r_minus):
+        with pytest.raises(ContractError, match="must be finite"):
+            two_point_fair_ratio(0.5, r_plus, r_minus, 100.0)
 
 
 class TestDominance:

@@ -84,6 +84,8 @@ class TestStdNormalCdf:
     def test_deep_tails_clamp(self):
         assert std_normal_cdf(-40.0) == 0.0
         assert std_normal_cdf(40.0) == 1.0
+        assert std_normal_cdf(-math.inf) == 0.0
+        assert std_normal_cdf(math.inf) == 1.0
 
 
 class TestGbmClosedForm:
