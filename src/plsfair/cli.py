@@ -254,10 +254,6 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _csv_cell(x: float) -> str:
-    return f"{x:.{CSV_DIGITS}g}"
-
-
 def _profile_payload(profile: RiskProfile) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "e_profit": profile.e_profit,
@@ -375,14 +371,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if steps < 2:
         raise ContractError(f"need --steps >= 2, got {steps}")
     plan = AllocationPlan.for_contract(spec)
-    lines = ["rho," + ",".join(f"gamma_{j + 1}" for j in range(len(plan.w_eff)))]
+    pairs = tuple(zip(plan.w_eff, plan.kappa_eff))
+    # One %-format per row; "%.12g" % x and f"{x:.12g}" print the same digits.
+    row_format = ",".join([f"%.{CSV_DIGITS}g"] * (len(pairs) + 1))
+    lines = ["rho," + ",".join(f"gamma_{j + 1}" for j in range(len(pairs)))]
+    fsum = math.fsum
     for i in range(steps):
         # The grid stays within [lo, hi] <= 1, so every row is a viable risk.
         rho = lo + (hi - lo) * i / (steps - 1)
-        gammas = plan.gammas(rho)
-        if abs(math.fsum(gammas) - 1.0) > 1e-9:
+        labour = 1.0 - rho
+        gammas = [w * labour + k * rho for w, k in pairs]  # AllocationPlan.gammas, inlined
+        if abs(fsum(gammas) - 1.0) > 1e-9:
             raise ContractError(f"row at rho={rho} violates the ratio simplex")
-        lines.append(",".join([_csv_cell(rho)] + [_csv_cell(g) for g in gammas]))
+        lines.append(row_format % (rho, *gammas))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)

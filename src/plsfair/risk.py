@@ -13,6 +13,10 @@ Monte Carlo draws the terminal distribution exactly (no time stepping) and
 streams fixed-size chunks through a counter-based generator keyed by
 (seed, chunk index), so results are a pure function of
 (model, seed, n_paths, chunk_size) no matter how chunks would be scheduled.
+
+Only the functions that make or read draws import numpy, inside their
+bodies: numpy loads with the first draw, and a process that uses only the
+closed forms never loads it.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ import math
 from dataclasses import dataclass
 from os import PathLike
 from pathlib import Path
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .contracts import LOG_FLOAT_MAX, SIMPLEX_TOL, ContractError, RiskProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -101,6 +106,8 @@ class EmpiricalSample:
     L: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         draws = tuple(map(float, self.draws))
         object.__setattr__(self, "draws", draws)
         if not draws:
@@ -193,6 +200,8 @@ def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
 
 def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
     """Plug-in estimates from observed draws, with standard errors attached."""
+    import numpy as np
+
     return _profile_from_moments(_block_moments(np.asarray(sample.draws, dtype=float), sample.L))
 
 
@@ -202,6 +211,8 @@ def _block_moments(r: np.ndarray, L: float) -> tuple:
     deviations from the block's mean, is formed as numpy's ``var`` forms it,
     so one block reproduces numpy's sample deviation bit for bit. Overflow is
     left to the finiteness check of ``_profile_from_moments``."""
+    import numpy as np
+
     moments = [r.size]
     with np.errstate(over="ignore", invalid="ignore"):
         for side in (np.subtract(r, L), np.subtract(L, r)):  # X, then Y, in place
@@ -247,6 +258,8 @@ def _profile_from_moments(m: tuple) -> RiskProfile:
 
 
 def _terminal_draws(model: McModel, rng: np.random.Generator, count: int) -> np.ndarray:
+    import numpy as np
+
     if isinstance(model, GbmParams):
         z = rng.standard_normal(count)
         drift = (model.mu - 0.5 * model.sigma * model.sigma) * model.T
@@ -260,6 +273,8 @@ def _terminal_draws(model: McModel, rng: np.random.Generator, count: int) -> np.
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -3,18 +3,22 @@
 Instead of trusting the closed forms, this module assembles the raw
 rated-payoff equality systems as dense linear systems and solves them with
 Gaussian elimination, and checks any candidate allocation by substituting it
-back into the defining equations. The wakalah system is built from the
-payoff definitions (discounted partner payoffs, annuity-valued manager
-remuneration), so it adjudicates the periodic-payment convention rather than
-assuming it.
+back into the defining equations. The elimination is pure Python over lists
+of floats with partial pivoting, so verification never loads numpy. Each
+pairwise musharakah row is written against the lowest-rated partner and
+divided through by its own rated expected profit, so every coefficient lies
+in [-1, 1] beside the unit row sum(gamma) = 1 and partial pivoting never
+weighs rows of very different size, however far the ratings spread. The
+wakalah system is built from the payoff definitions (discounted partner
+payoffs, annuity-valued manager remuneration), so it adjudicates the
+periodic-payment convention rather than assuming it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .contracts import (
     Allocation,
@@ -28,21 +32,32 @@ from .contracts import (
 )
 from .ratios import annuity_pv, discount_factor, rated_payoff_spread
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True, eq=False)
 class FairnessSystem:
     """A dense linear system in the unknowns named by ``labels``."""
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    rows: tuple[tuple[float, ...], ...]
+    rhs: tuple[float, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         n = len(self.labels)
-        if self.matrix.shape != (n, n) or self.rhs.shape != (n,):
+        if len(self.rows) != n or any(len(row) != n for row in self.rows) or len(self.rhs) != n:
             raise ContractError(
-                f"system shape {self.matrix.shape}/{self.rhs.shape} does not match {n} unknowns"
+                f"system of {len(self.rows)} rows and {len(self.rhs)} right-hand sides "
+                f"does not match {n} unknowns"
             )
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The coefficient rows as a numpy array, which loads numpy."""
+        import numpy as np
+
+        return np.array(self.rows)
 
 
 @dataclass(frozen=True)
@@ -61,36 +76,51 @@ class VerificationReport:
     passed: bool
 
 
-def gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a small dense system by Gaussian elimination with partial pivoting."""
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = b.size
-    if a.shape != (n, n):
-        raise ContractError(f"matrix shape {a.shape} does not match rhs length {n}")
+def gauss_solve(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list[float]:
+    """Solve a small dense system by Gaussian elimination with partial pivoting.
+
+    ``matrix`` is any sequence of rows (nested lists, or a 2-D numpy array)
+    and is copied into lists of floats; rows whose entry in the pivot column
+    is already zero are skipped, which keeps the sparse fairness systems cheap.
+    """
+    b = [float(v) for v in rhs]
+    n = len(b)
+    try:
+        a = [[float(v) for v in row] for row in matrix]
+    except (TypeError, ValueError):
+        raise ContractError(f"matrix must be {n} rows of {n} numbers") from None
+    if len(a) != n or any(len(row) != n for row in a):
+        width = len(a[0]) if a else 0
+        raise ContractError(f"matrix shape {(len(a), width)} does not match rhs length {n}")
     for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0.0:
+        pivot = max(range(col, n), key=lambda row: abs(a[row][col]))
+        if a[pivot][col] == 0.0:
             raise ContractError("singular fairness system (impossible for positive ratings)")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        head = a[col][col:]
         for row in range(col + 1, n):
-            factor = a[row, col]
+            factor = a[row][col]
             if factor != 0.0:
-                lam = factor / a[col, col]
-                a[row, col:] -= lam * a[col, col:]
+                lam = factor / head[0]
+                a[row][col:] = [x - lam * y for x, y in zip(a[row][col:], head)]
                 b[row] -= lam * b[col]
-    x = np.empty(n)
+    x = [0.0] * n
     for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+        tail = math.fsum(a[row][k] * x[k] for k in range(row + 1, n))
+        x[row] = (b[row] - tail) / a[row][row]
     return x
 
 
 def musharakah_system(
     ratings: Ratings, capital: Capital, e_profit: float, e_loss: float
 ) -> FairnessSystem:
-    """Stack the d-1 pairwise rated-payoff equalities plus sum(gamma) = 1."""
+    """Stack the d-1 pairwise rated-payoff equalities plus sum(gamma) = 1.
+
+    Each partner j other than the lowest-rated partner m gets the row
+    c_j (gamma_j E1 - kappa_j E2) = c_m (gamma_m E1 - kappa_m E2), divided
+    by c_j E1: gamma_j - (c_m/c_j) gamma_m = (kappa_j - (c_m/c_j) kappa_m) E2/E1.
+    """
     c = as_ratings(ratings).values
     kappa = as_capital(capital).values
     d = len(c)
@@ -98,17 +128,20 @@ def musharakah_system(
         raise ContractError(f"got {len(kappa)} capital shares for {d} partners")
     if e_profit <= 0.0:
         raise ContractError(f"expected profit must be positive, got {e_profit}")
-    a = np.zeros((d, d))
-    b = np.zeros(d)
-    for j in range(1, d):
-        # c_j (gamma_j E1 - kappa_j E2) = c_0 (gamma_0 E1 - kappa_0 E2)
-        a[j - 1, j] = c[j] * e_profit
-        a[j - 1, 0] = -c[0] * e_profit
-        b[j - 1] = c[j] * kappa[j] * e_loss - c[0] * kappa[0] * e_loss
-    a[d - 1, :] = 1.0
-    b[d - 1] = 1.0
+    m = c.index(min(c))
+    rho = e_loss / e_profit
+    rows, rhs = [], []
+    for j in range(d):
+        if j != m:
+            ratio = c[m] / c[j]
+            row = [0.0] * d
+            row[j], row[m] = 1.0, -ratio
+            rows.append(tuple(row))
+            rhs.append((kappa[j] - ratio * kappa[m]) * rho)
+    rows.append((1.0,) * d)
+    rhs.append(1.0)
     labels = tuple(f"gamma_{i + 1}" for i in range(d))
-    return FairnessSystem(matrix=a, rhs=b, labels=labels)
+    return FairnessSystem(rows=tuple(rows), rhs=tuple(rhs), labels=labels)
 
 
 def solve_fairness_system(
@@ -116,7 +149,7 @@ def solve_fairness_system(
 ) -> tuple[float, ...]:
     """Profit ratios equalizing the rated payoffs, by direct linear solve."""
     system = musharakah_system(ratings, capital, e_profit, e_loss)
-    return tuple(float(v) for v in gauss_solve(system.matrix, system.rhs))
+    return tuple(gauss_solve(system.rows, system.rhs))
 
 
 def wakalah_system(
@@ -147,16 +180,17 @@ def wakalah_system(
             f"discount (1+r)^-T underflows to 0 at r = {terms.r}, T = {terms.T}: "
             "every funder's payoff vanishes and the wakalah system has no unique solution"
         )
-    a = np.zeros((d, d))
-    b = np.zeros(d)
+    rows, rhs = [], []
     for j in range(d - 1):
-        a[j, j] = c[j] * discount * e_profit
-        a[j, d - 1] = -(c[j] / (d - 1) + c[d - 1]) * pv
-        b[j] = c[j] * kappa[j] * discount * e_loss
-    a[d - 1, : d - 1] = 1.0
-    b[d - 1] = 1.0
+        row = [0.0] * d
+        row[j] = c[j] * discount * e_profit
+        row[d - 1] = -(c[j] / (d - 1) + c[d - 1]) * pv
+        rows.append(tuple(row))
+        rhs.append(c[j] * kappa[j] * discount * e_loss)
+    rows.append((1.0,) * (d - 1) + (0.0,))
+    rhs.append(1.0)
     labels = tuple(f"gamma_{i + 1}" for i in range(d - 1)) + ("p",)
-    return FairnessSystem(matrix=a, rhs=b, labels=labels)
+    return FairnessSystem(rows=tuple(rows), rhs=tuple(rhs), labels=labels)
 
 
 def solve_wakalah_system(
@@ -168,8 +202,8 @@ def solve_wakalah_system(
 ) -> tuple[tuple[float, ...], float]:
     """Ratios and periodic payment from the raw wakalah system."""
     system = wakalah_system(ratings, capital, e_profit, e_loss, terms)
-    solution = gauss_solve(system.matrix, system.rhs)
-    return tuple(float(v) for v in solution[:-1]), float(solution[-1])
+    solution = gauss_solve(system.rows, system.rhs)
+    return tuple(solution[:-1]), solution[-1]
 
 
 def verify_allocation(

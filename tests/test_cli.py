@@ -4,11 +4,25 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plsfair import Allocation, RiskProfile, WakalahTerms, verify_allocation
-from plsfair.cli import main
+import plsfair
+from conftest import random_ratings, random_simplex
+from plsfair import (
+    Allocation,
+    AllocationPlan,
+    ContractSpec,
+    RiskProfile,
+    Variant,
+    WakalahTerms,
+    verify_allocation,
+)
+from plsfair.cli import contract_to_dict, main
 
 FIGURE_SWEEP_CONTRACT = {
     "schema": 1,
@@ -439,6 +453,104 @@ class TestSweepCommand:
         code, out, _ = run(capsys, ["sweep", contract, "--steps", "3"])
         assert code == 0
         assert out.splitlines()[0] == "rho,gamma_1,gamma_2"
+
+    def test_csv_matches_reference_formatting(self, capsys, tmp_path):
+        rng = np.random.default_rng(31)
+        for variant in Variant:
+            for d in (2, 3, 9, 64):
+                if variant in (Variant.FAIR_MUDHARABAH, Variant.CFAIR_MUDHARABAH) and d != 2:
+                    continue
+                ratings = random_ratings(rng, d)
+                capital, terms = random_simplex(rng, d), None
+                if variant is Variant.FAIR_MUDHARABAH:
+                    ratings, capital = (ratings[0], ratings[0]), None
+                elif variant is Variant.CFAIR_MUDHARABAH:
+                    capital = None
+                elif variant is not Variant.MUSHARAKAH_SELF_MANAGED:
+                    capital = random_simplex(rng, d - 1) if d > 2 else (1.0,)
+                    if variant is Variant.MUSHARAKAH_WAKALAH:
+                        terms = WakalahTerms(r=0.04, T=5.0, k=12)
+                spec = ContractSpec(variant, ratings, capital, terms)
+                lo = float(rng.uniform(0.0, 0.5))
+                hi = float(rng.uniform(0.5, 1.0))
+                steps = int(rng.integers(2, 400))
+                contract = write_contract(tmp_path, contract_to_dict(spec))
+                code, out, _ = run(
+                    capsys,
+                    ["sweep", contract, "--rho-from", repr(lo), "--rho-to", repr(hi),
+                     "--steps", str(steps)],
+                )
+                assert code == 0
+                plan = AllocationPlan.for_contract(spec)
+                header = "rho," + ",".join(f"gamma_{j + 1}" for j in range(len(plan.w_eff)))
+                rows = [
+                    ",".join(f"{x:.12g}" for x in (rho, *plan.gammas(rho)))
+                    for rho in (lo + (hi - lo) * i / (steps - 1) for i in range(steps))
+                ]
+                assert out == "\n".join([header, *rows]) + "\n", (variant, d)
+
+    def test_rows_off_the_simplex_exit_1(self, capsys, tmp_path, monkeypatch):
+        contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        off_simplex = AllocationPlan(
+            ratings=(3.0, 5.0), weights=(0.6, 0.4), w_eff=(0.6, 0.4), kappa_eff=(0.6, 0.6)
+        )
+        monkeypatch.setattr(AllocationPlan, "for_contract", lambda spec: off_simplex)
+        code, out, err = run(capsys, ["sweep", contract, "--steps", "5"])
+        assert code == 1 and out == ""
+        assert "violates the ratio simplex" in err
+
+
+#: Runs closed-form commands in a fresh interpreter, reports whether numpy got
+#: loaded, then runs a Monte Carlo estimate, which must load it.
+NO_NUMPY_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+import plsfair
+from plsfair.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+codes = []
+for contract in sys.argv[2:]:
+    codes.append(run("allocate", contract)[0])
+    code, out = run("allocate", contract, "--json")
+    gammas = ",".join(repr(g) for g in json.loads(out)["gammas"])
+    codes += [code, run("verify", contract, "--gammas", gammas)[0], run("sweep", contract, "-o", "-")[0]]
+closed_form = "numpy" in sys.modules
+codes.append(run("risk", "--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1",
+                 "--L", "100", "--simulate", "--paths", "1000")[0])
+print(json.dumps({"codes": codes, "closed_form": closed_form, "simulate": "numpy" in sys.modules}))
+"""
+
+
+class TestClosedFormImports:
+    def test_closed_form_commands_never_import_numpy(self, tmp_path):
+        contracts = [
+            write_contract(tmp_path, {**FIGURE_SWEEP_CONTRACT, "capital_amount": 100.0,
+                                      "model": {"kind": "gbm", "mu": 0.1, "sigma": 0.2, "T": 1}},
+                           "gbm.json"),
+            write_contract(tmp_path, {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+                                      "capital_amount": 100.0,
+                                      "model": {"kind": "two_point", "beta": 0.6, "r_plus": 120,
+                                                "r_minus": 90}},
+                           "two_point.json"),
+            write_contract(tmp_path, {"schema": 1, "variant": "musharakah_external_mudharib",
+                                      "ratings": [1.5, 4, 2], "capital": [0.3, 0.7],
+                                      "model": {"kind": "fixed_rho", "rho": 0.25, "delta": 8.0}},
+                           "fixed_rho.json"),
+        ]
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", NO_NUMPY_SCRIPT, src, *contracts],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"codes": [0] * 13, "closed_form": False, "simulate": True}
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,6 +71,11 @@ class TestGaussSolve:
         with pytest.raises(ContractError):
             gauss_solve(np.zeros((2, 3)), np.zeros(2))
 
+    @pytest.mark.parametrize("matrix", [np.zeros(2), [[1.0], [2.0, 3.0]]])
+    def test_matrix_that_is_not_square_rows(self, matrix):
+        with pytest.raises(ContractError):
+            gauss_solve(matrix, np.zeros(2))
+
     def test_residual_bound_on_random_systems(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
@@ -121,6 +127,34 @@ class TestFairnessSystem:
             solved = solve_fairness_system(ratings, kappa, e_profit, rho * e_profit)
             worst = max(worst, max(abs(a - b) for a, b in zip(closed.gammas, solved)))
         assert worst <= 1e-10
+
+    @staticmethod
+    def _mpmath_gammas(ratings, kappa, e_profit, e_loss):
+        """gamma_l = w_l (1 - rho) + kappa_l rho at 50 digits, w_l = (1/c_l) / sum_j (1/c_j)."""
+        with mpmath.workdps(50):
+            rho = mpmath.mpf(e_loss) / mpmath.mpf(e_profit)
+            inverse = [1 / mpmath.mpf(c) for c in ratings]
+            total = mpmath.fsum(inverse)
+            return [u / total * (1 - rho) + mpmath.mpf(k) * rho for u, k in zip(inverse, kappa)]
+
+    def test_accurate_on_wide_rating_spreads(self):
+        rng = np.random.default_rng(37)
+        for decades in (3.0, 10.0, 20.0):
+            for _ in range(100):
+                d = int(rng.integers(2, 17))
+                ratings = tuple(float(v) for v in 10.0 ** rng.uniform(-decades, decades, d))
+                kappa = random_simplex(rng, d)
+                e_profit = float(10.0 ** rng.uniform(-2.0, 3.0))
+                e_loss = float(rng.random()) * e_profit
+                solved = solve_fairness_system(ratings, kappa, e_profit, e_loss)
+                exact = self._mpmath_gammas(ratings, kappa, e_profit, e_loss)
+                worst = max(abs(float(mpmath.mpf(g) - x)) for g, x in zip(solved, exact))
+                assert worst <= 2e-15, (ratings, kappa, e_profit, e_loss)
+
+    def test_forty_decade_spread_example(self):
+        # Unscaled pairwise rows returned (0, 0.08, 0, 0) here, off the simplex.
+        solved = solve_fairness_system((1, 1e20, 1e-20, 2), (0.1, 0.2, 0.3, 0.4), 1.0, 0.4)
+        assert solved == pytest.approx((0.04, 0.08, 0.72, 0.16), abs=2e-15)
 
 
 class TestWakalahSystem:
