@@ -24,7 +24,8 @@ A contract file is a JSON document::
 kinds: ``gbm`` (mu, sigma, T), ``two_point`` (beta, r_plus, r_minus),
 ``empirical`` (path, relative to the contract file), ``fixed_rho`` (rho,
 optional delta or e_profit). ``capital_amount`` supplies L and is required
-for every kind except ``fixed_rho``.
+for every kind except ``fixed_rho``. ``--simulate`` applies to ``gbm`` and
+``two_point`` only.
 
 Exit codes: 0 success, 1 input error, 2 non-viable investment,
 3 verification failure.
@@ -60,9 +61,8 @@ from .risk import (
     monte_carlo_profile,
     two_point_profile,
 )
-from .verification import VerificationReport, verify_allocation
+from .verification import DEFAULT_TOL, VerificationReport, verify_allocation
 
-DEFAULT_TOL = 1e-9
 DEFAULT_PATHS = 1_000_000
 
 #: Significant digits in sweep CSV cells; fixed so output is byte-stable.
@@ -168,6 +168,14 @@ def _require_capital_amount(amount: float | None, kind: str) -> float:
     return amount
 
 
+#: The model kinds with a closed form, which alone can also be simulated: parameters type,
+#: closed form (looked up here per call, so the benchmark's layer tracer sees it) and fields.
+_PRICED_MODELS = {
+    "gbm": (GbmParams, lambda p: gbm_closed_form(p), ("mu", "sigma", "T")),
+    "two_point": (TwoPointScenario, lambda p: two_point_profile(p), ("beta", "r_plus", "r_minus")),
+}
+
+
 def profile_from_model(
     model: dict[str, Any],
     capital_amount: float | None,
@@ -179,26 +187,23 @@ def profile_from_model(
 ) -> RiskProfile:
     """Build a risk profile from a contract file's model section."""
     kind = model.get("kind")
-    if kind == "gbm":
-        params = GbmParams(
-            mu=_require_number(model, "mu"),
-            sigma=_require_number(model, "sigma"),
-            T=_require_number(model, "T"),
-            L=_require_capital_amount(capital_amount, kind),
-        )
+    # A kind parsed from JSON may be a list or an object, which cannot be hashed.
+    priced = _PRICED_MODELS.get(kind) if isinstance(kind, str) else None
+    if priced is not None:
+        params_type, closed_form, fields = priced
+        values = [_require_number(model, key) for key in fields]
+        params = params_type(*values, L=_require_capital_amount(capital_amount, kind))
         if simulate:
             return monte_carlo_profile(params, McConfig(n_paths=paths, seed=seed))
-        return gbm_closed_form(params)
-    if kind == "two_point":
-        scenario = TwoPointScenario(
-            beta=_require_number(model, "beta"),
-            r_plus=_require_number(model, "r_plus"),
-            r_minus=_require_number(model, "r_minus"),
-            L=_require_capital_amount(capital_amount, kind),
+        return closed_form(params)
+    if kind not in ("empirical", "fixed_rho"):
+        raise ContractError(
+            f"unknown model kind {kind!r}; expected gbm, two_point, empirical, or fixed_rho"
         )
-        if simulate:
-            return monte_carlo_profile(scenario, McConfig(n_paths=paths, seed=seed))
-        return two_point_profile(scenario)
+    if simulate:
+        raise ContractError(
+            f"--simulate applies only to model kinds {' and '.join(_PRICED_MODELS)}, not {kind!r}"
+        )
     if kind == "empirical":
         rel = model.get("path")
         if not isinstance(rel, str):
@@ -207,26 +212,18 @@ def profile_from_model(
         return empirical_profile(
             EmpiricalSample(draws=draws, L=_require_capital_amount(capital_amount, kind))
         )
-    if kind == "fixed_rho":
-        rho = _require_number(model, "rho")
-        delta = _require_number(model, "delta") if "delta" in model else None
-        e_profit = _require_number(model, "e_profit") if "e_profit" in model else None
-        return RiskProfile.from_rho(rho, delta=delta, e_profit=e_profit)
-    raise ContractError(
-        f"unknown model kind {kind!r}; expected gbm, two_point, empirical, or fixed_rho"
-    )
+    rho = _require_number(model, "rho")
+    delta = _require_number(model, "delta") if "delta" in model else None
+    e_profit = _require_number(model, "e_profit") if "e_profit" in model else None
+    return RiskProfile.from_rho(rho, delta=delta, e_profit=e_profit)
 
 
 def _model_from_flags(args: argparse.Namespace) -> dict[str, Any]:
     kind = args.model.replace("-", "_")
     model: dict[str, Any] = {"kind": kind}
-    if kind == "gbm":
-        for key in ("mu", "sigma", "T"):
+    if kind in _PRICED_MODELS:
+        for key in _PRICED_MODELS[kind][2]:
             model[key] = _flag(args, key)
-    elif kind == "two_point":
-        model["beta"] = _flag(args, "beta")
-        model["r_plus"] = _flag(args, "r_plus")
-        model["r_minus"] = _flag(args, "r_minus")
     elif kind == "empirical":
         if args.data is None:
             raise ContractError("--model empirical needs --data FILE")
@@ -287,14 +284,10 @@ def _print_profile(profile: RiskProfile) -> None:
 
 def cmd_risk(args: argparse.Namespace) -> int:
     model = _model_from_flags(args)
-    if args.model in ("gbm", "two-point", "empirical"):
-        if args.L is None:
-            raise ContractError(f"--model {args.model} needs --L (the capital)")
-        amount = args.L
-    else:
-        amount = None
+    if args.L is None and model["kind"] != "fixed_rho":
+        raise ContractError(f"--model {args.model} needs --L (the capital)")
     profile = profile_from_model(
-        model, amount, Path.cwd(), simulate=args.simulate, seed=args.seed, paths=args.paths
+        model, args.L, Path.cwd(), simulate=args.simulate, seed=args.seed, paths=args.paths
     )
     if args.json:
         print(json.dumps(_profile_payload(profile)))
@@ -349,9 +342,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         for i, g in enumerate(alloc.gammas, start=1):
             print(f"partner {i}: gamma = {_fmt(g)}   payoff = {_fmt(alloc.payoffs[i - 1])}")
         if alloc.periodic_payment is not None:
-            manager = len(alloc.payoffs)
             print(
-                f"manager (partner {manager}): p = {_fmt(alloc.periodic_payment)}"
+                f"manager (partner {spec.partner_count}): p = {_fmt(alloc.periodic_payment)}"
                 f" paid {spec.wakalah.k} times   payoff = {_fmt(alloc.payoffs[-1])}"
             )
         print(f"payoffs valued at: {alloc.valuation}")
@@ -404,10 +396,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         gammas = tuple(float(tok) for tok in args.gammas.split(","))
     except ValueError:
         raise ContractError(f"--gammas must be a comma-separated list of numbers, got {args.gammas!r}") from None
-    expected = spec.partner_count - 1 if spec.variant is Variant.MUSHARAKAH_WAKALAH else spec.partner_count
-    if len(gammas) != expected:
-        raise ContractError(f"expected {expected} ratios for this contract, got {len(gammas)}")
-    if spec.variant is Variant.MUSHARAKAH_WAKALAH and args.p is None:
+    if spec.wakalah is not None and args.p is None:
         raise ContractError("the wakalah variant needs --p (the periodic payment)")
     candidate = Allocation(
         gammas=gammas, payoffs=(), residual=0.0, periodic_payment=args.p

@@ -301,6 +301,16 @@ class ContractSpec:
     def partner_count(self) -> int:
         return len(self.ratings)
 
+    @property
+    def kappa_eff(self) -> tuple[float, ...]:
+        """The capital share behind each profit ratio: exactly (1, 0) for mudharabah,
+        and a trailing 0 for an external mudharib, who funds nothing."""
+        if self.variant in MUDHARABAH_VARIANTS:
+            return MUDHARABAH_CAPITAL
+        if self.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
+            return self.capital.values + (0.0,)
+        return self.capital.values
+
 
 def validate_spec(spec: ContractSpec) -> ContractSpec:
     """Check all cross-field invariants of a contract; return it unchanged.

@@ -33,8 +33,6 @@ from typing import Sequence, Union
 
 from .contracts import (
     LOG_FLOAT_MAX,
-    MUDHARABAH_CAPITAL,
-    MUDHARABAH_VARIANTS,
     SIMPLEX_TOL,
     Allocation,
     Capital,
@@ -186,13 +184,12 @@ def rated_payoff_spread(
 class AllocationPlan:
     """A contract reduced to the effective vectors of the affine kernel.
 
-    gamma_l = w_eff_l (1 - rho) + kappa_eff_l rho, where mudharabah pins
-    kappa_eff to (1, 0), an external mudharib's kappa gets a trailing 0, and
-    under wakalah (``terms`` set) the d-1 funders absorb the manager's
-    weight equally, w_eff_l = w_d/(d-1) + w_l, while the manager is paid a
-    periodic fee. The spec has already validated the contract's shape; the
-    plan computes the sharing weights once, and evaluating it needs only the
-    risk.
+    gamma_l = w_eff_l (1 - rho) + kappa_eff_l rho, where kappa_eff is the
+    spec's :attr:`~plsfair.contracts.ContractSpec.kappa_eff` and under
+    wakalah (``terms`` set) the d-1 funders absorb the manager's weight
+    equally, w_eff_l = w_d/(d-1) + w_l, while the manager is paid a periodic
+    fee. The spec has already validated the contract's shape; the plan
+    computes the sharing weights once, and evaluating it needs only the risk.
     """
 
     ratings: tuple[float, ...]
@@ -204,15 +201,10 @@ class AllocationPlan:
     @classmethod
     def for_contract(cls, spec: ContractSpec) -> AllocationPlan:
         """Plan a contract spec of any variant."""
-        c, kappa, terms = spec.ratings.values, spec.capital.values, spec.wakalah
+        c, kappa, terms = spec.ratings.values, spec.kappa_eff, spec.wakalah
         w = sharing_weights(spec.ratings).values
-        if spec.variant in MUDHARABAH_VARIANTS:
-            kappa = MUDHARABAH_CAPITAL
-        elif spec.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
-            kappa += (0.0,)  # the manager funds nothing
-        elif terms is not None:
-            d = len(c)
-            return cls(c, w, tuple(w[d - 1] / (d - 1) + wi for wi in w[: d - 1]), kappa, terms)
+        if terms is not None:  # the manager's weight goes to the funders, who hold every ratio
+            return cls(c, w, tuple(w[-1] / len(kappa) + wi for wi in w[:-1]), kappa, terms)
         return cls(c, w, w, kappa)
 
     def gammas(self, rho: float) -> tuple[float, ...]:

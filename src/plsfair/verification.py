@@ -24,8 +24,10 @@ from .contracts import (
     Allocation,
     Capital,
     ContractError,
+    ContractSpec,
     Ratings,
     RiskProfile,
+    Variant,
     WakalahTerms,
     as_capital,
     as_ratings,
@@ -34,6 +36,9 @@ from .ratios import annuity_pv, discount_factor, rated_payoff_spread
 
 if TYPE_CHECKING:
     import numpy as np
+
+#: Default relative tolerance of :func:`verify_allocation`.
+DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +117,17 @@ def gauss_solve(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list
     return x
 
 
+def _nonzero_discount(terms: WakalahTerms) -> float:
+    """(1+r)^-T, rejected where it underflows to 0 and every funder's payoff vanishes."""
+    discount = discount_factor(terms)
+    if discount == 0.0:
+        raise ContractError(
+            f"discount (1+r)^-T underflows to 0 at r = {terms.r}, T = {terms.T}: "
+            "every funder's payoff vanishes and the wakalah system has no unique solution"
+        )
+    return discount
+
+
 def musharakah_system(
     ratings: Ratings, capital: Capital, e_profit: float, e_loss: float
 ) -> FairnessSystem:
@@ -121,15 +137,11 @@ def musharakah_system(
     c_j (gamma_j E1 - kappa_j E2) = c_m (gamma_m E1 - kappa_m E2), divided
     by c_j E1: gamma_j - (c_m/c_j) gamma_m = (kappa_j - (c_m/c_j) kappa_m) E2/E1.
     """
-    c = as_ratings(ratings).values
-    kappa = as_capital(capital).values
+    spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, ratings, capital)
+    rho = RiskProfile.from_expectations(e_profit, e_loss).rho
+    c, kappa = spec.ratings.values, spec.capital.values
     d = len(c)
-    if len(kappa) != d:
-        raise ContractError(f"got {len(kappa)} capital shares for {d} partners")
-    if e_profit <= 0.0:
-        raise ContractError(f"expected profit must be positive, got {e_profit}")
     m = c.index(min(c))
-    rho = e_loss / e_profit
     rows, rhs = [], []
     for j in range(d):
         if j != m:
@@ -166,27 +178,19 @@ def wakalah_system(
     manager's is annuity_pv * p. Each rated partner payoff is equated to the
     manager's rated payoff, and the gammas sum to 1.
     """
-    c = as_ratings(ratings).values
-    kappa = as_capital(capital).values
+    spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, ratings, capital, terms)
+    profile = RiskProfile.from_expectations(e_profit, e_loss)
+    c, kappa = spec.ratings.values, spec.capital.values
     d = len(c)
-    if len(kappa) != d - 1:
-        raise ContractError(f"got {len(kappa)} capital shares for {d - 1} funding partners")
-    if e_profit <= 0.0:
-        raise ContractError(f"expected profit must be positive, got {e_profit}")
     pv = annuity_pv(terms)
-    discount = discount_factor(terms)
-    if discount == 0.0:
-        raise ContractError(
-            f"discount (1+r)^-T underflows to 0 at r = {terms.r}, T = {terms.T}: "
-            "every funder's payoff vanishes and the wakalah system has no unique solution"
-        )
+    discount = _nonzero_discount(terms)
     rows, rhs = [], []
     for j in range(d - 1):
         row = [0.0] * d
-        row[j] = c[j] * discount * e_profit
+        row[j] = c[j] * discount * profile.e_profit
         row[d - 1] = -(c[j] / (d - 1) + c[d - 1]) * pv
         rows.append(tuple(row))
-        rhs.append(c[j] * kappa[j] * discount * e_loss)
+        rhs.append(c[j] * kappa[j] * discount * profile.e_loss)
     rows.append((1.0,) * (d - 1) + (0.0,))
     rhs.append(1.0)
     labels = tuple(f"gamma_{i + 1}" for i in range(d - 1)) + ("p",)
@@ -212,35 +216,37 @@ def verify_allocation(
     capital: Capital,
     profile: RiskProfile,
     terms: WakalahTerms | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Substitute an allocation back into the fairness equations.
 
+    The contract is wakalah when ``terms`` are given, an external mudharib
+    when ``capital`` covers only the d-1 funders, and self-managed otherwise.
     Recomputes every rated payoff from the candidate ratios (and periodic
     payment, for the wakalah combination), reports the maximum pairwise
     deviation and the simplex defect, and passes iff both are within ``tol``
     (the fairness residual relative to max(ratings) * e_profit).
     """
-    c = as_ratings(ratings).values
-    kappa = as_capital(capital).values
+    c, kappa = as_ratings(ratings), as_capital(capital)
+    if terms is not None:
+        variant = Variant.MUSHARAKAH_WAKALAH
+    elif len(kappa) == len(c) - 1:
+        variant = Variant.MUSHARAKAH_EXTERNAL_MUDHARIB
+    else:
+        variant = Variant.MUSHARAKAH_SELF_MANAGED
+    kappa_eff = ContractSpec(variant, c, kappa, terms).kappa_eff
     gammas = alloc.gammas
-    d = len(c)
-    if terms is None:
-        if len(gammas) != d:
-            raise ContractError(f"got {len(gammas)} ratios for {d} partners")
-        if len(kappa) == d - 1:
-            kappa += (0.0,)  # external manager funds nothing
-        elif len(kappa) != d:
-            raise ContractError(f"got {len(kappa)} capital shares for {d} partners")
-    elif len(gammas) != d - 1 or len(kappa) != d - 1:
-        raise ContractError(
-            f"wakalah check needs {d - 1} ratios and capital shares, got {len(gammas)} and {len(kappa)}"
-        )
-    elif alloc.periodic_payment is None:
-        raise ContractError("wakalah check needs the periodic payment p")
-    max_residual = rated_payoff_spread(c, kappa, gammas, profile, terms, alloc.periodic_payment)
-    simplex_residual = abs(math.fsum(alloc.gammas) - 1.0)
-    scale = max(c) * profile.e_profit
+    if len(gammas) != len(kappa_eff):
+        raise ContractError(f"expected {len(kappa_eff)} ratios for this contract, got {len(gammas)}")
+    if terms is not None:
+        if alloc.periodic_payment is None:
+            raise ContractError("wakalah check needs the periodic payment p")
+        _nonzero_discount(terms)
+    max_residual = rated_payoff_spread(
+        c.values, kappa_eff, gammas, profile, terms, alloc.periodic_payment
+    )
+    simplex_residual = abs(math.fsum(gammas) - 1.0)
+    scale = max(c.values) * profile.e_profit
     passed = max_residual <= tol * scale and simplex_residual <= tol
     return VerificationReport(
         max_fairness_residual=max_residual,

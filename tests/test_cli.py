@@ -166,6 +166,20 @@ class TestRiskCommand:
         assert {"se_profit", "se_loss", "se_rho", "se_delta"} <= payload.keys()
         assert payload["se_rho"] > 0.0 and payload["se_delta"] > 0.0
 
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("empirical", ["--model", "empirical", "--data", "draws.txt", "--L", "100"]),
+            ("fixed_rho", ["--model", "fixed-rho", "--rho", "0.3"]),
+        ],
+    )
+    def test_simulate_needs_a_priced_model(self, capsys, tmp_path, monkeypatch, kind, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "draws.txt").write_text("R_T\n120\n90\n", encoding="utf-8")
+        code, out, err = run(capsys, ["risk", *flags, "--simulate", "--paths", "5", "--seed", "3"])
+        assert code == 1 and out == ""
+        assert err == f"error: --simulate applies only to model kinds gbm and two_point, not {kind!r}\n"
+
     def test_empirical_model(self, capsys, tmp_path):
         data = tmp_path / "draws.txt"
         data.write_text("R_T\n120\n90\n", encoding="utf-8")
@@ -242,11 +256,12 @@ class TestAllocateCommand:
                 "model": {"kind": "fixed_rho", "rho": 0.3, "delta": 5.0},
             },
         )
-        code, out, _ = run(capsys, ["allocate", path, "--json"])
-        assert code == 0
-        payload = json.loads(out)
-        assert math.isfinite(payload["periodic_payment"])
-        assert payload["verification"]["passed"] is True
+        # (1.05)^-1e6 underflows to 0, so every payoff vanishes and a
+        # verification residual of 0 would carry no information.
+        code, out, err = run(capsys, ["allocate", path, "--json"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: discount (1+r)^-T underflows to 0") and err.count("\n") == 1
 
     def test_json_output_round_trips_through_verify(self, capsys, tmp_path):
         path = write_contract(
@@ -326,6 +341,47 @@ class TestAllocateCommand:
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
         assert json.loads(out)["rho"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "model",
+        [{"kind": "empirical", "path": "draws.txt"}, {"kind": "fixed_rho", "rho": 0.3}],
+    )
+    def test_simulate_needs_a_priced_model(self, capsys, tmp_path, model):
+        (tmp_path / "draws.txt").write_text("120\n90\n", encoding="utf-8")
+        path = write_contract(
+            tmp_path,
+            {
+                "schema": 1,
+                "variant": "fair_mudharabah",
+                "ratings": [1, 1],
+                "model": model,
+                "capital_amount": 100.0,
+            },
+        )
+        code, out, err = run(capsys, ["allocate", path, "--json", "--simulate", "--paths", "5"])
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: --simulate applies only to model kinds gbm and two_point, not {model['kind']!r}\n"
+        )
+
+    @pytest.mark.parametrize("simulate", [[], ["--simulate", "--paths", "5"]])
+    @pytest.mark.parametrize("kind", [["gbm"], {"gbm": 1}, None, 3, "lognormal"])
+    def test_unknown_model_kind_is_one_error_line(self, capsys, tmp_path, kind, simulate):
+        path = write_contract(
+            tmp_path,
+            {
+                "schema": 1,
+                "variant": "fair_mudharabah",
+                "ratings": [1, 1],
+                "model": {"kind": kind, "mu": 0.1, "sigma": 0.2, "T": 1},
+                "capital_amount": 100.0,
+            },
+        )
+        code, out, err = run(capsys, ["allocate", path, *simulate])
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: unknown model kind {kind!r}; expected gbm, two_point, empirical, or fixed_rho\n"
+        )
 
     def test_non_viable_model_exits_2(self, capsys, tmp_path):
         path = write_contract(

@@ -236,6 +236,26 @@ class TestContractSpec:
                 Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (0.5, 0.5), {"r": 0, "T": 1, "k": 2}
             )
 
+    @pytest.mark.parametrize(
+        "variant, ratings, capital, terms, kappa_eff",
+        [
+            (Variant.FAIR_MUDHARABAH, (2, 2), (1 - 1e-13, 1e-13), None, (1.0, 0.0)),
+            (Variant.CFAIR_MUDHARABAH, (2, 5), (1.0, 1e-13), None, (1.0, 0.0)),
+            (Variant.CFAIR_MUDHARABAH, (2, 5), None, None, (1.0, 0.0)),
+            (Variant.MUSHARAKAH_SELF_MANAGED, (1, 2, 3), (0.2, 0.3, 0.5), None, (0.2, 0.3, 0.5)),
+            (Variant.MUSHARAKAH_EXTERNAL_MUDHARIB, (1, 2, 3), (0.4, 0.6), None, (0.4, 0.6, 0.0)),
+            (
+                Variant.MUSHARAKAH_WAKALAH, (1, 2, 3, 4), (0.2, 0.3, 0.5),
+                WakalahTerms(0.04, 2.0, 8), (0.2, 0.3, 0.5),
+            ),
+        ],
+    )
+    def test_kappa_eff_has_one_entry_per_ratio(self, variant, ratings, capital, terms, kappa_eff):
+        spec = ContractSpec(variant, ratings, capital, terms)
+        assert spec.kappa_eff == kappa_eff
+        ratio_count = len(ratings) - 1 if variant is Variant.MUSHARAKAH_WAKALAH else len(ratings)
+        assert len(spec.kappa_eff) == ratio_count
+
     @pytest.mark.parametrize("capital", [(1.0,), (1.0, 0.0, 0.0)])
     def test_mudharabah_capital_of_the_wrong_length(self, capital):
         with pytest.raises(ContractError, match="requires capital"):

@@ -25,6 +25,7 @@ DRAWS_PATHS = ("draws.txt", "missing.txt", "subdir")
 
 COMMANDS = (
     ("allocate", "--json"),
+    ("allocate", "--json", "--simulate", "--paths", "16"),
     ("sweep", "--steps", "3"),
     ("verify", "--gammas", "0.5,0.5", "--p", "1"),
 )

@@ -16,7 +16,9 @@ from conftest import random_ratings, random_simplex
 from plsfair import (
     Allocation,
     ContractError,
+    ContractSpec,
     RiskProfile,
+    Variant,
     WakalahTerms,
     cfair_mudharabah,
     cfair_musharakah,
@@ -276,3 +278,49 @@ class TestVerifyAllocation:
         candidate = Allocation(gammas=(0.5, 0.5), payoffs=(), residual=0.0)
         with pytest.raises(ContractError):
             verify_allocation(candidate, (1, 1, 1), (0.25, 0.25, 0.5), profile)
+
+    def test_discount_underflow_is_named(self):
+        # (1.05)^-1e6 is 0: every payoff vanishes and a zero residual would pass vacuously
+        profile = RiskProfile.from_expectations(10.0, 5.0)
+        candidate = Allocation(gammas=(0.75, 0.25), payoffs=(), residual=0.0, periodic_payment=0.0)
+        with pytest.raises(ContractError, match="discount .* underflows"):
+            verify_allocation(candidate, (1, 1, 1), (1.0, 0.0), profile, WakalahTerms(0.05, 1e6, 4))
+
+
+_PROFILE = RiskProfile.from_expectations(10.0, 5.0)
+_TERMS = WakalahTerms(0.05, 2.0, 4)
+
+
+@pytest.mark.parametrize(
+    "check, variant, capital, terms",
+    [
+        (
+            lambda capital: verify_allocation(
+                Allocation((0.5, 0.25, 0.25), (), 0.0), (1, 2, 3), capital, _PROFILE
+            ),
+            Variant.MUSHARAKAH_SELF_MANAGED, (0.25,) * 4, None,
+        ),
+        (
+            lambda capital: verify_allocation(
+                Allocation((0.5, 0.5), (), 0.0, 1.0), (1, 2, 3), capital, _PROFILE, _TERMS
+            ),
+            Variant.MUSHARAKAH_WAKALAH, (0.2, 0.3, 0.5), _TERMS,
+        ),
+        (
+            lambda capital: musharakah_system((1, 2, 3), capital, 10.0, 5.0),
+            Variant.MUSHARAKAH_SELF_MANAGED, (0.5, 0.5), None,
+        ),
+        (
+            lambda capital: wakalah_system((1, 2, 3), capital, 10.0, 5.0, _TERMS),
+            Variant.MUSHARAKAH_WAKALAH, (0.2, 0.3, 0.5), _TERMS,
+        ),
+    ],
+    ids=["verify_allocation", "verify_allocation_wakalah", "musharakah_system", "wakalah_system"],
+)
+def test_capital_length_is_reported_by_the_spec(check, variant, capital, terms):
+    with pytest.raises(ContractError) as from_spec:
+        ContractSpec(variant, (1, 2, 3), capital, terms)
+    assert "capital" in str(from_spec.value)
+    with pytest.raises(ContractError) as from_check:
+        check(capital)
+    assert str(from_check.value) == str(from_spec.value)
