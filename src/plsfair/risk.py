@@ -21,6 +21,7 @@ closed forms never loads it.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from os import PathLike
@@ -98,25 +99,38 @@ class TwoPointScenario:
             raise ContractError(f"failure revenue {self.r_minus} cannot exceed the capital {self.L}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalSample:
-    """Observed terminal incomes against a capital L."""
+    """Observed terminal incomes against a capital L.
 
-    draws: tuple[float, ...]
+    ``draws`` may be any flat sequence of numbers. It is held as a read-only
+    1-D float64 array: copied once, or not at all when it already is one, as
+    ``load_empirical_draws`` returns. Samples compare by identity, so ``==``
+    and ``hash`` never walk the draws.
+    """
+
+    draws: np.ndarray
     L: float
 
     def __post_init__(self) -> None:
         import numpy as np
 
-        draws = tuple(map(float, self.draws))
-        object.__setattr__(self, "draws", draws)
-        if not draws:
+        values = self.draws
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable):
+            try:
+                values = np.array(values, dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ContractError(f"draws must be a sequence of numbers: {exc}") from exc
+            values.flags.writeable = False
+        object.__setattr__(self, "draws", values)
+        if values.ndim != 1:
+            raise ContractError(f"draws must be a flat sequence of numbers, got shape {values.shape}")
+        if not values.size:
             raise ContractError("need at least one draw")
-        values = np.asarray(draws)
         valid = (values >= 0.0) & (values < math.inf)
         if not valid.all():
             i = int(valid.argmin())
-            raise ContractError(f"draw {i + 1} must be a finite non-negative income, got {draws[i]}")
+            raise ContractError(f"draw {i + 1} must be a finite non-negative income, got {float(values[i])}")
         if not math.isfinite(self.L):
             raise ContractError(f"capital must be finite, got {self.L}")
 
@@ -200,9 +214,7 @@ def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
 
 def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
     """Plug-in estimates from observed draws, with standard errors attached."""
-    import numpy as np
-
-    return _profile_from_moments(_block_moments(np.asarray(sample.draws, dtype=float), sample.L))
+    return _profile_from_moments(_block_moments(sample.draws, sample.L))
 
 
 def _block_moments(r: np.ndarray, L: float) -> tuple:
@@ -214,8 +226,10 @@ def _block_moments(r: np.ndarray, L: float) -> tuple:
     import numpy as np
 
     moments = [r.size]
+    side = np.empty_like(r)  # X, then Y, in one buffer: fewer pages to fault in per block
     with np.errstate(over="ignore", invalid="ignore"):
-        for side in (np.subtract(r, L), np.subtract(L, r)):  # X, then Y, in place
+        for minuend, subtrahend in ((r, L), (L, r)):
+            np.subtract(minuend, subtrahend, out=side)
             np.maximum(side, 0.0, out=side)
             total = float(side.sum())
             side -= total / r.size
@@ -265,7 +279,12 @@ def _terminal_draws(model: McModel, rng: np.random.Generator, count: int) -> np.
         drift = (model.mu - 0.5 * model.sigma * model.sigma) * model.T
         vol = model.sigma * math.sqrt(model.T)
         with np.errstate(over="ignore"):  # a far-tail overflow fails the moment check
-            return model.L * np.exp(drift + vol * z)
+            # L exp(drift + vol z), in place: bit for bit the same as the out-of-place form
+            z *= vol
+            z += drift
+            np.exp(z, out=z)
+            z *= model.L
+        return z
     if isinstance(model, TwoPointScenario):
         u = rng.random(count)
         return np.where(u < model.beta, model.r_plus, model.r_minus)
@@ -297,16 +316,52 @@ def monte_carlo_profile(model: McModel, cfg: McConfig) -> RiskProfile:
     return _profile_from_moments(moments)
 
 
-def load_empirical_draws(path: Union[str, PathLike]) -> tuple[float, ...]:
-    """Read terminal draws from a plain-text file, one decimal float per line.
+def load_empirical_draws(path: Union[str, PathLike]) -> np.ndarray:
+    """Read terminal draws from a plain-text file, one number per line.
 
-    An optional first-line header ``R_T`` is skipped; blank lines are
-    ignored; both LF and CRLF endings are accepted.
+    Each line holds exactly what Python's ``float()`` accepts, padded with
+    any whitespace. An optional first-line header ``R_T`` is skipped; blank
+    lines are ignored; LF, CRLF and CR end lines, as does every other line
+    break ``str.splitlines`` knows. Returns a read-only 1-D float64 array.
+
+    numpy parses the text as one column of floats. Text it rejects (``1_000``,
+    non-ASCII digits, whitespace-only lines, exotic line breaks) or reads as
+    several columns is scanned again line by line, so the accepted syntax
+    and every error message are those of the line scan.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"cannot read draws file: {exc}") from exc
+    head, _, rest = text.partition("\n")
+    # The scan skips the first line of splitlines(), numpy all of `head`: the
+    # same text when `head` is the header plus blank space.
+    header = head.strip() == "R_T" and head.splitlines()[0].strip() == "R_T"
+    body = rest if header else text
+    # numpy only warns on a blank body; the scan names it as an error.
+    values = _parse_column(body) if body and not body.isspace() else None
+    if values is None:
+        values = _scan_draws(text, path)
+    values.flags.writeable = False
+    return values
+
+
+def _parse_column(body: str) -> np.ndarray | None:
+    """The draws of ``body`` as numpy reads one column of floats, or None."""
+    import numpy as np
+
+    try:
+        # ndmin=2 keeps a one-line "1,2" as one row of two columns, not two draws.
+        values = np.loadtxt(io.StringIO(body), dtype=float, comments=None, delimiter=",", quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return values.reshape(-1) if values.shape[1] == 1 else None
+
+
+def _scan_draws(text: str, path: Union[str, PathLike]) -> np.ndarray:
+    """The draws of ``text`` read line by line with ``float()``; names the first bad line."""
+    import numpy as np
+
     draws: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -320,4 +375,4 @@ def load_empirical_draws(path: Union[str, PathLike]) -> tuple[float, ...]:
             raise ContractError(f"{path}: line {lineno} is not a decimal float: {line!r}") from exc
     if not draws:
         raise ContractError(f"{path}: no draws found")
-    return tuple(draws)
+    return np.array(draws, dtype=float)

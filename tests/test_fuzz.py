@@ -62,6 +62,8 @@ _models = st.one_of(
     st.fixed_dictionaries({"kind": st.just("empirical"), "path": st.sampled_from(DRAWS_PATHS)}),
     st.fixed_dictionaries({"kind": st.just("fixed_rho"), "rho": _plausible(0.0, 1.2)},
                           optional={"delta": numbers, "e_profit": numbers}),
+    # A kind that is a JSON list or object cannot even be looked up in a table.
+    st.fixed_dictionaries({"kind": st.lists(json_values, max_size=2) | st.dictionaries(_keys, json_values, max_size=2)}),
 )
 _wakalah = st.fixed_dictionaries(
     {"r": _plausible(0.0, 0.2), "T": _plausible(0.1, 1e7), "k": _rarely(st.integers(1, 12), numbers, 8)}

@@ -7,6 +7,8 @@ frozen below; Monte Carlo checks use the closed forms as oracles.
 from __future__ import annotations
 
 import math
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -292,6 +294,28 @@ class TestEmpiricalProfile:
             EmpiricalSample((), 100.0)
         with pytest.raises(ContractError):
             EmpiricalSample((-1.0, 120.0), 100.0)
+        for draws in ([[120.0], [90.0]], [[120.0], [90.0, 80.0]], 120.0, ("x",), [object()]):
+            with pytest.raises(ContractError, match="draws must be"):
+                EmpiricalSample(draws, 100.0)
+
+    def test_draws_are_a_read_only_float64_vector(self):
+        sample = EmpiricalSample([120, 90.5], 100.0)
+        assert sample.draws.dtype == np.float64 and sample.draws.shape == (2,)
+        with pytest.raises(ValueError):
+            sample.draws[0] = 1.0
+
+    def test_draws_are_copied_at_most_once(self):
+        mine = np.array([120.0, 90.0])
+        sample = EmpiricalSample(mine, 100.0)
+        mine[0] = 0.0  # a writeable array is copied, so this does not reach the sample
+        assert sample.draws.tolist() == [120.0, 90.0]
+        frozen = sample.draws
+        assert EmpiricalSample(frozen, 50.0).draws is frozen
+
+    def test_equality_is_identity(self):
+        a, b = EmpiricalSample((120.0, 90.0), 100.0), EmpiricalSample((120.0, 90.0), 100.0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_converges_to_two_point_law(self):
         # draws from the scenario's law at n = 1e5 land within 3 SE
@@ -336,6 +360,12 @@ class TestMonteCarlo:
             v = np.maximum(side, 0.0)
             want = float(v.std(ddof=1)) / math.sqrt(v.size)
             assert se == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_gbm_draws_match_the_out_of_place_formula(self):
+        model = GbmParams(mu=0.3, sigma=0.7, T=2.0, L=150.0)
+        z = _chunk_rng(9, 4).standard_normal(1 << 14)
+        want = model.L * np.exp((model.mu - 0.5 * model.sigma * model.sigma) * model.T + model.sigma * math.sqrt(model.T) * z)
+        assert _terminal_draws(model, _chunk_rng(9, 4), 1 << 14).tobytes() == want.tobytes()
 
     def test_overflowing_draws_are_an_error(self):
         # L e^(mu T) is finite, but the sampled incomes overflow
@@ -408,17 +438,17 @@ class TestDrawsFile:
     def test_plain_lf(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_text("120.0\n90.0\n", encoding="utf-8")
-        assert load_empirical_draws(path) == (120.0, 90.0)
+        assert load_empirical_draws(path).tolist() == [120.0, 90.0]
 
     def test_crlf_and_header(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_bytes(b"R_T\r\n120.5\r\n90.25\r\n")
-        assert load_empirical_draws(path) == (120.5, 90.25)
+        assert load_empirical_draws(path).tolist() == [120.5, 90.25]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_text("R_T\n120.0\n\n90.0\n\n", encoding="utf-8")
-        assert load_empirical_draws(path) == (120.0, 90.0)
+        assert load_empirical_draws(path).tolist() == [120.0, 90.0]
 
     def test_garbage_line_rejected(self, tmp_path):
         path = tmp_path / "draws.txt"
@@ -433,6 +463,73 @@ class TestDrawsFile:
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "draws.txt"
-        path.write_text("R_T\n", encoding="utf-8")
-        with pytest.raises(ContractError):
-            load_empirical_draws(path)
+        for text in ("R_T\n", "", "\n\n", "R_T\n \n"):
+            path.write_text(text, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns on an empty body; the loader must not call it
+                with pytest.raises(ContractError, match="no draws found"):
+                    load_empirical_draws(path)
+
+    def test_result_is_a_read_only_float64_vector(self, tmp_path):
+        path = tmp_path / "draws.txt"
+        for text in ("120\n90\n", "1_000\n"):  # the numpy parse and the line scan
+            path.write_text(text, encoding="utf-8")
+            draws = load_empirical_draws(path)
+            assert draws.dtype == np.float64 and draws.ndim == 1
+            with pytest.raises(ValueError):
+                draws[0] = 1.0
+
+
+def scan_draws_file(path) -> tuple[float, ...]:
+    """The line-by-line draws parse as it stood before numpy read the files,
+    frozen as the reference for what the syntax accepts and how it fails."""
+    text = Path(path).read_text(encoding="utf-8")
+    draws: list[float] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line == "R_T":
+            continue
+        try:
+            draws.append(float(line))
+        except ValueError as exc:
+            raise ContractError(f"{path}: line {lineno} is not a decimal float: {line!r}") from exc
+    if not draws:
+        raise ContractError(f"{path}: no draws found")
+    return tuple(draws)
+
+
+def _outcome(load, path) -> tuple[str, object]:
+    """The draws' bytes (so nan signs and -0.0 count) or the error message."""
+    try:
+        return "draws", np.array(load(path), dtype=np.float64).tobytes()
+    except ContractError as exc:
+        return "error", str(exc)
+
+
+#: Pieces of draws files where ``float()`` and numpy's parser may differ.
+DRAWS_SYNTAX = [
+    "1_000", "nan", "-nan", "inf", "1e400", "+1.5", "-0", "  7.25\t", "1 2", "1,2", "#5", "'5'",
+    "1\x0c2", "\r", "\u2028", "\x85", "\x0b", "\x00", "\u0661\u0662", " R_T ", "\nR_T\n5", "R_T\n",
+    "\x0cR_T\n5", "R_T\u20285\n6", "R_T\x0c\n5", "5\n  \n6", "", "\n\n", "120.5\r\n90.25\r\n",
+]
+_pieces = DRAWS_SYNTAX + list("0123456789.eE+-_, \t\n\r\x0c#'") + ["R_T", "\u2028", "\u0661", "12.5\n"]
+
+
+class TestDrawsSyntax:
+    """The numpy parse against the frozen line scan: the same draws, bit for
+    bit, or the same error message."""
+
+    @pytest.mark.parametrize("text", DRAWS_SYNTAX)
+    def test_matches_the_line_scan(self, tmp_path, text):
+        path = tmp_path / "draws.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_empirical_draws, path) == _outcome(scan_draws_file, path)
+
+    @given(st.lists(st.sampled_from(_pieces), max_size=12).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_line_scan_on_random_text(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("draws") / "draws.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_empirical_draws, path) == _outcome(scan_draws_file, path)
