@@ -21,9 +21,9 @@ closed forms never loads it.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 from os import PathLike
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
@@ -104,9 +104,9 @@ class EmpiricalSample:
     """Observed terminal incomes against a capital L.
 
     ``draws`` may be any flat sequence of numbers. It is held as a read-only
-    1-D float64 array: copied once, or not at all when it already is one, as
-    ``load_empirical_draws`` returns. Samples compare by identity, so ``==``
-    and ``hash`` never walk the draws.
+    1-D float64 array: copied once, or not at all when it already is one
+    that views only read-only arrays, as ``load_empirical_draws`` returns.
+    Samples compare by identity, so ``==`` and ``hash`` never walk the draws.
     """
 
     draws: np.ndarray
@@ -116,7 +116,7 @@ class EmpiricalSample:
         import numpy as np
 
         values = self.draws
-        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable):
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and _frozen(values)):
             try:
                 values = np.array(values, dtype=float)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -133,6 +133,18 @@ class EmpiricalSample:
             raise ContractError(f"draw {i + 1} must be a finite non-negative income, got {float(values[i])}")
         if not math.isfinite(self.L):
             raise ContractError(f"capital must be finite, got {self.L}")
+
+
+def _frozen(values: np.ndarray) -> bool:
+    """True when ``values`` and every array it views are read-only arrays, so
+    no one can write to the draws after they are checked."""
+    import numpy as np
+
+    while values is not None:
+        if not isinstance(values, np.ndarray) or values.flags.writeable:
+            return False
+        values = values.base
+    return True
 
 
 @dataclass(frozen=True)
@@ -226,7 +238,7 @@ def _block_moments(r: np.ndarray, L: float) -> tuple:
     import numpy as np
 
     moments = [r.size]
-    side = np.empty_like(r)  # X, then Y, in one buffer: fewer pages to fault in per block
+    side = np.empty(r.shape)  # X, then Y, in one buffer: fewer pages to fault in per block
     with np.errstate(over="ignore", invalid="ignore"):
         for minuend, subtrahend in ((r, L), (L, r)):
             np.subtract(minuend, subtrahend, out=side)
@@ -322,57 +334,32 @@ def load_empirical_draws(path: Union[str, PathLike]) -> np.ndarray:
     Each line holds exactly what Python's ``float()`` accepts, padded with
     any whitespace. An optional first-line header ``R_T`` is skipped; blank
     lines are ignored; LF, CRLF and CR end lines, as does every other line
-    break ``str.splitlines`` knows. Returns a read-only 1-D float64 array.
-
-    numpy parses the text as one column of floats. Text it rejects (``1_000``,
-    non-ASCII digits, whitespace-only lines, exotic line breaks) or reads as
-    several columns is scanned again line by line, so the accepted syntax
-    and every error message are those of the line scan.
+    break ``str.splitlines`` knows. Returns a read-only 1-D float64 array;
+    an error names the first line ``float()`` rejects.
     """
+    import numpy as np
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"cannot read draws file: {exc}") from exc
-    head, _, rest = text.partition("\n")
-    # The scan skips the first line of splitlines(), numpy all of `head`: the
-    # same text when `head` is the header plus blank space.
-    header = head.strip() == "R_T" and head.splitlines()[0].strip() == "R_T"
-    body = rest if header else text
-    # numpy only warns on a blank body; the scan names it as an error.
-    values = _parse_column(body) if body and not body.isspace() else None
-    if values is None:
-        values = _scan_draws(text, path)
-    values.flags.writeable = False
-    return values
-
-
-def _parse_column(body: str) -> np.ndarray | None:
-    """The draws of ``body`` as numpy reads one column of floats, or None."""
-    import numpy as np
-
+    lines = text.splitlines()
+    start = 1 if lines and lines[0].strip() == "R_T" else 0
     try:
-        # ndmin=2 keeps a one-line "1,2" as one row of two columns, not two draws.
-        values = np.loadtxt(io.StringIO(body), dtype=float, comments=None, delimiter=",", quotechar=None, ndmin=2)
+        draws = list(map(float, filter(None, map(str.strip, islice(lines, start, None)))))
     except ValueError:
-        return None
-    return values.reshape(-1) if values.shape[1] == 1 else None
-
-
-def _scan_draws(text: str, path: Union[str, PathLike]) -> np.ndarray:
-    """The draws of ``text`` read line by line with ``float()``; names the first bad line."""
-    import numpy as np
-
-    draws: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line == "R_T":
-            continue
-        try:
-            draws.append(float(line))
-        except ValueError as exc:
-            raise ContractError(f"{path}: line {lineno} is not a decimal float: {line!r}") from exc
+        # The same float() calls again, one line at a time, to name the first bad line.
+        for lineno, raw in enumerate(lines[start:], start=start + 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                float(line)
+            except ValueError as exc:
+                raise ContractError(f"{path}: line {lineno} is not a decimal float: {line!r}") from exc
+        raise  # unreachable: some line failed above
     if not draws:
         raise ContractError(f"{path}: no draws found")
-    return np.array(draws, dtype=float)
+    values = np.array(draws, dtype=float)
+    values.flags.writeable = False
+    return values

@@ -312,6 +312,14 @@ class TestEmpiricalProfile:
         frozen = sample.draws
         assert EmpiricalSample(frozen, 50.0).draws is frozen
 
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        mine = np.array([120.0, 90.0])
+        view = mine[:]
+        view.flags.writeable = False
+        sample = EmpiricalSample(view, 100.0)
+        mine[0] = -1.0  # written through the base after the check: must not reach the sample
+        assert sample.draws is not view and sample.draws.tolist() == [120.0, 90.0]
+
     def test_equality_is_identity(self):
         a, b = EmpiricalSample((120.0, 90.0), 100.0), EmpiricalSample((120.0, 90.0), 100.0)
         assert a == a and a != b
@@ -405,6 +413,11 @@ class TestMonteCarlo:
         mc = monte_carlo_profile(scenario, McConfig(n_paths=1_000_000, seed=2))
         assert abs(mc.rho - analytic.rho) <= 3.0 * mc.se_rho
 
+    def test_integer_two_point_revenues(self):
+        cfg = McConfig(n_paths=50_000, seed=3, chunk_size=1 << 14)
+        ints = monte_carlo_profile(TwoPointScenario(0.6, 120, 90, 100.0), cfg)
+        assert ints == monte_carlo_profile(TwoPointScenario(0.6, 120.0, 90.0, 100.0), cfg)
+
     def test_three_sigma_coverage_over_seeds(self):
         # at n = 1e6 the estimate lands within 3 SE for >= 99 of 100 seeds
         closed = gbm_closed_form(GBM_EXAMPLE)
@@ -466,13 +479,13 @@ class TestDrawsFile:
         for text in ("R_T\n", "", "\n\n", "R_T\n \n"):
             path.write_text(text, encoding="utf-8")
             with warnings.catch_warnings():
-                warnings.simplefilter("error")  # numpy warns on an empty body; the loader must not call it
+                warnings.simplefilter("error")
                 with pytest.raises(ContractError, match="no draws found"):
                     load_empirical_draws(path)
 
     def test_result_is_a_read_only_float64_vector(self, tmp_path):
         path = tmp_path / "draws.txt"
-        for text in ("120\n90\n", "1_000\n"):  # the numpy parse and the line scan
+        for text in ("120\n90\n", "1_000\n"):
             path.write_text(text, encoding="utf-8")
             draws = load_empirical_draws(path)
             assert draws.dtype == np.float64 and draws.ndim == 1
@@ -481,8 +494,8 @@ class TestDrawsFile:
 
 
 def scan_draws_file(path) -> tuple[float, ...]:
-    """The line-by-line draws parse as it stood before numpy read the files,
-    frozen as the reference for what the syntax accepts and how it fails."""
+    """The line-by-line draws parse as it stood when the loader returned a
+    tuple, frozen as the reference for what the syntax accepts and how it fails."""
     text = Path(path).read_text(encoding="utf-8")
     draws: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -508,7 +521,7 @@ def _outcome(load, path) -> tuple[str, object]:
         return "error", str(exc)
 
 
-#: Pieces of draws files where ``float()`` and numpy's parser may differ.
+#: Pieces of draws files at the edges of what ``float()`` and line splitting accept.
 DRAWS_SYNTAX = [
     "1_000", "nan", "-nan", "inf", "1e400", "+1.5", "-0", "  7.25\t", "1 2", "1,2", "#5", "'5'",
     "1\x0c2", "\r", "\u2028", "\x85", "\x0b", "\x00", "\u0661\u0662", " R_T ", "\nR_T\n5", "R_T\n",
@@ -518,8 +531,8 @@ _pieces = DRAWS_SYNTAX + list("0123456789.eE+-_, \t\n\r\x0c#'") + ["R_T", "\u202
 
 
 class TestDrawsSyntax:
-    """The numpy parse against the frozen line scan: the same draws, bit for
-    bit, or the same error message."""
+    """The loader against the frozen line scan: the same draws, bit for bit,
+    or the same error message."""
 
     @pytest.mark.parametrize("text", DRAWS_SYNTAX)
     def test_matches_the_line_scan(self, tmp_path, text):
