@@ -34,6 +34,7 @@ Exit codes: 0 success, 1 input error, 2 non-viable investment,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -179,13 +180,18 @@ _PRICED_MODELS = {
 def profile_from_model(
     model: dict[str, Any],
     capital_amount: float | None,
-    base_dir: Path,
     *,
+    contract: Path | None,
     simulate: bool = False,
     seed: int = 0,
     paths: int = DEFAULT_PATHS,
 ) -> RiskProfile:
-    """Build a risk profile from a contract file's model section."""
+    """Build a risk profile from a contract file's model section.
+
+    ``contract`` is the file the section was read from. A relative draws path
+    is read from the directory of that file's real path (symlinks resolved),
+    or from the working directory when ``contract`` is None.
+    """
     kind = model.get("kind")
     # A kind parsed from JSON may be a list or an object, which cannot be hashed.
     priced = _PRICED_MODELS.get(kind) if isinstance(kind, str) else None
@@ -208,6 +214,7 @@ def profile_from_model(
         rel = model.get("path")
         if not isinstance(rel, str):
             raise ContractError("empirical model needs a 'path' to the draws file")
+        base_dir = Path.cwd() if contract is None else contract.resolve().parent
         draws = load_empirical_draws(base_dir / rel)
         return empirical_profile(
             EmpiricalSample(draws=draws, L=_require_capital_amount(capital_amount, kind))
@@ -287,7 +294,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
     if args.L is None and model["kind"] != "fixed_rho":
         raise ContractError(f"--model {args.model} needs --L (the capital)")
     profile = profile_from_model(
-        model, args.L, Path.cwd(), simulate=args.simulate, seed=args.seed, paths=args.paths
+        model, args.L, contract=None, simulate=args.simulate, seed=args.seed, paths=args.paths
     )
     if args.json:
         print(json.dumps(_profile_payload(profile)))
@@ -301,9 +308,9 @@ def _contract_and_profile(args: argparse.Namespace, purpose: str) -> tuple[Contr
     spec, model, amount = load_contract(args.contract)
     if model is None:
         raise ContractError(f"contract file has no 'model'; {purpose} needs a risk profile")
-    base_dir = Path(args.contract).resolve().parent
     profile = profile_from_model(
-        model, amount, base_dir, simulate=args.simulate, seed=args.seed, paths=args.paths
+        model, amount, contract=Path(args.contract),
+        simulate=args.simulate, seed=args.seed, paths=args.paths,
     )
     return spec, profile
 
@@ -420,20 +427,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
+    # Every failure says what it got; argparse's own message on a ValueError
+    # would name this function.
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an unsigned 64-bit integer, got {text!r}"
+        )
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``plsfair`` argument parser, built on the first call and shared after it.
+
+    Every call in a process returns the same parser, so callers must not
+    change it. Parsing leaves no state behind in it: each ``parse_args``
+    starts a new namespace from the (scalar) defaults.
+    """
     # Each subcommand takes only the flags it reads: risk builds a profile,
     # allocate and verify also check against a tolerance, sweep needs none.
     profile = argparse.ArgumentParser(add_help=False)
@@ -501,6 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one ``plsfair`` command and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``. Output goes to the current
+    ``sys.stdout`` and ``sys.stderr``. ``main`` may be called any number of
+    times in one process; every call parses with the one parser of
+    ``build_parser``, and no call sees the arguments of another.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import subprocess
@@ -22,7 +23,7 @@ from plsfair import (
     WakalahTerms,
     verify_allocation,
 )
-from plsfair.cli import contract_to_dict, main
+from plsfair.cli import contract_to_dict, main, profile_from_model
 
 FIGURE_SWEEP_CONTRACT = {
     "schema": 1,
@@ -108,6 +109,23 @@ class TestRiskCommand:
     def test_unknown_flag_is_an_input_error(self, capsys):
         code, _, _ = run(capsys, ["risk", "--model", "gbm", "--bogus", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "abc", "seed must be an unsigned 64-bit integer, got 'abc'"),
+            ("--seed", "1.5", "seed must be an unsigned 64-bit integer, got '1.5'"),
+            ("--seed", "-1", "seed must be an unsigned 64-bit integer, got '-1'"),
+            ("--seed", str(2**64), f"seed must be an unsigned 64-bit integer, got '{2**64}'"),
+            ("--paths", "abc", "must be a positive integer, got 'abc'"),
+            ("--paths", "0", "must be a positive integer, got '0'"),
+        ],
+    )
+    def test_integer_flag_errors_name_the_rule(self, capsys, flag, value, message):
+        code, out, err = run(capsys, ["risk", "--model", "gbm", "--L", "100", flag, value])
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument {flag}: {message}\n")
+        assert "_u64" not in err and "_positive_int" not in err
 
     def test_growth_factor_overflow_exits_1(self, capsys):
         code, out, err = run(
@@ -341,6 +359,34 @@ class TestAllocateCommand:
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
         assert json.loads(out)["rho"] == pytest.approx(0.5)
+
+    def test_empirical_path_follows_a_symlinked_contract(self, capsys, tmp_path):
+        real, other = tmp_path / "real", tmp_path / "other"
+        real.mkdir()
+        other.mkdir()
+        (real / "draws.txt").write_text("120\n90\n", encoding="utf-8")
+        # Read from the link's own directory, these draws would give rho = 0.
+        (other / "draws.txt").write_text("120\n110\n", encoding="utf-8")
+        target = write_contract(
+            real,
+            {
+                "schema": 1,
+                "variant": "fair_mudharabah",
+                "ratings": [1, 1],
+                "model": {"kind": "empirical", "path": "draws.txt"},
+                "capital_amount": 100.0,
+            },
+        )
+        (other / "link.json").symlink_to(target)
+        code, out, _ = run(capsys, ["allocate", str(other / "link.json"), "--json"])
+        assert code == 0
+        assert json.loads(out)["rho"] == pytest.approx(0.5)
+
+    def test_contract_path_is_keyword_only(self, tmp_path):
+        # A directory passed where a base directory once went must not be
+        # taken for the contract file.
+        with pytest.raises(TypeError):
+            profile_from_model({"kind": "empirical", "path": "d.txt"}, 100.0, tmp_path)
 
     @pytest.mark.parametrize(
         "model",
@@ -690,6 +736,67 @@ class TestTopLevel:
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, ["--help"])
         assert code == 0
+
+
+#: Runs one command as the first ``main`` call of a fresh interpreter.
+FIRST_CALL_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from plsfair.cli import main
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+class TestOneParserPerProcess:
+    GBM = ["--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1", "--L", "100"]
+
+    def test_calls_share_no_parsed_state(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+        contract = write_contract(
+            tmp_path, {**FIGURE_SWEEP_CONTRACT, "capital_amount": 100.0,
+                       "model": {"kind": "gbm", "mu": 0.1, "sigma": 0.2, "T": 1}},
+        )
+        calls = [
+            ["risk", *self.GBM, "--json", "--seed", "7", "--simulate", "--paths", "2000"],
+            ["sweep", contract, "--steps", "5"],
+            ["allocate", contract, "--json", "--tol", "1e-3"],
+            ["verify", contract, "--gammas", "0.4,0.3,0.2,0.1"],
+            ["--help"],
+            ["risk", "--model", "gbm", "--seed", "abc"],
+            [],
+            ["risk", *self.GBM],
+            ["allocate", contract],
+        ]
+        in_process = [run(capsys, argv) for argv in calls]
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        first_calls = []
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-I", "-c", FIRST_CALL_SCRIPT, src, *argv],
+                capture_output=True, text=True, timeout=120,
+            )
+            first_calls.append((done.returncode, done.stdout, done.stderr))
+        assert [code for code, _, _ in first_calls] == [0, 0, 0, 3, 0, 1, 1, 0, 0]
+        assert in_process == first_calls
+
+    def test_repeated_calls_build_no_parser(self, capsys, tmp_path, monkeypatch):
+        contract = write_contract(
+            tmp_path, {**FIGURE_SWEEP_CONTRACT, "model": {"kind": "fixed_rho", "rho": 0.3}},
+        )
+        assert main(["sweep", contract, "--steps", "3"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(argv) for argv in (["allocate", contract], ["sweep", contract],
+                                         ["risk", *self.GBM], ["risk", "--bogus"], ["--help"])]
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 1, 0]
+        assert built == []
 
 
 class TestExtremeRatings:
