@@ -21,7 +21,6 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
-    validate_spec,
 )
 from .ratios import (
     AllocationPlan,
@@ -108,7 +107,6 @@ __all__ = [
     "std_normal_cdf",
     "two_point_fair_ratio",
     "two_point_profile",
-    "validate_spec",
     "verify_allocation",
     "wakalah_system",
 ]

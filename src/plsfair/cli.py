@@ -190,7 +190,7 @@ def profile_from_model(
 
     ``contract`` is the file the section was read from. A relative draws path
     is read from the directory of that file's real path (symlinks resolved),
-    or from the working directory when ``contract`` is None.
+    or opened as given, from the working directory, when ``contract`` is None.
     """
     kind = model.get("kind")
     # A kind parsed from JSON may be a list or an object, which cannot be hashed.
@@ -214,8 +214,8 @@ def profile_from_model(
         rel = model.get("path")
         if not isinstance(rel, str):
             raise ContractError("empirical model needs a 'path' to the draws file")
-        base_dir = Path.cwd() if contract is None else contract.resolve().parent
-        draws = load_empirical_draws(base_dir / rel)
+        path = Path(rel) if contract is None else contract.resolve().parent / rel
+        draws = load_empirical_draws(path)
         return empirical_profile(
             EmpiricalSample(draws=draws, L=_require_capital_amount(capital_amount, kind))
         )
@@ -328,9 +328,7 @@ def _report_payload(report: VerificationReport, tol: float) -> dict[str, Any]:
 def cmd_allocate(args: argparse.Namespace) -> int:
     spec, profile = _contract_and_profile(args, "allocation")
     alloc = allocate(spec, profile)
-    report = verify_allocation(
-        alloc, spec.ratings, spec.capital, profile, spec.wakalah, tol=args.tol
-    )
+    report = verify_allocation(alloc, spec, profile, tol=args.tol)
     if args.json:
         payload = {
             "variant": spec.variant.value,
@@ -339,7 +337,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
             "payoffs": list(alloc.payoffs),
             "payoff_valuation": alloc.valuation,
             "periodic_payment": alloc.periodic_payment,
-            "residual": alloc.residual,
+            "residual": report.max_fairness_residual,
             "verification": _report_payload(report, args.tol),
         }
         print(json.dumps(payload))
@@ -405,12 +403,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ContractError(f"--gammas must be a comma-separated list of numbers, got {args.gammas!r}") from None
     if spec.wakalah is not None and args.p is None:
         raise ContractError("the wakalah variant needs --p (the periodic payment)")
-    candidate = Allocation(
-        gammas=gammas, payoffs=(), residual=0.0, periodic_payment=args.p
-    )
-    report = verify_allocation(
-        candidate, spec.ratings, spec.capital, profile, spec.wakalah, tol=args.tol
-    )
+    candidate = Allocation(gammas=gammas, payoffs=(), periodic_payment=args.p)
+    report = verify_allocation(candidate, spec, profile, tol=args.tol)
     if args.json:
         print(json.dumps(_report_payload(report, args.tol)))
     else:

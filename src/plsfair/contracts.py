@@ -288,14 +288,48 @@ class ContractSpec:
     wakalah: WakalahTerms | None = None
 
     def __post_init__(self) -> None:
+        # Every construction, dataclasses.replace included, runs these checks.
         variant = Variant(self.variant)
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "ratings", as_ratings(self.ratings))
+        ratings = as_ratings(self.ratings)
+        object.__setattr__(self, "ratings", ratings)
         capital = self.capital
         if capital is None and variant in MUDHARABAH_VARIANTS:
             capital = MUDHARABAH_CAPITAL
-        object.__setattr__(self, "capital", None if capital is None else as_capital(capital))
-        validate_spec(self)
+        if capital is None:
+            raise ContractError("capital shares are required for this variant")
+        capital = as_capital(capital)
+        object.__setattr__(self, "capital", capital)
+        d = len(ratings)
+        if variant in MUDHARABAH_VARIANTS:
+            if d != 2:
+                raise ContractError(f"{variant.value} needs exactly 2 partners, got {d}")
+            kappa = capital.values
+            if len(kappa) != 2 or abs(kappa[0] - 1.0) > SIMPLEX_TOL or abs(kappa[1]) > SIMPLEX_TOL:
+                raise ContractError(
+                    f"{variant.value} requires capital (1, 0): the funder brings all capital"
+                )
+            if variant is Variant.FAIR_MUDHARABAH and ratings[0] != ratings[1]:
+                raise ContractError(
+                    "fair mudharabah rates both partners equally; use cfair_mudharabah for unequal ratings"
+                )
+        elif variant is Variant.MUSHARAKAH_SELF_MANAGED:
+            if len(capital) != d:
+                raise ContractError(
+                    f"self-managed musharakah needs one capital share per partner: got {len(capital)} for {d} partners"
+                )
+        elif variant in MANAGED_VARIANTS:
+            if len(capital) != d - 1:
+                raise ContractError(
+                    f"{variant.value} needs capital for the {d - 1} funding partners, got {len(capital)}"
+                )
+        if variant is Variant.MUSHARAKAH_WAKALAH:
+            if self.wakalah is None:
+                raise ContractError("wakalah terms (r, T, k) are required for the wakalah variant")
+            if not isinstance(self.wakalah, WakalahTerms):
+                raise ContractError(f"wakalah terms must be WakalahTerms, got {self.wakalah!r}")
+        elif self.wakalah is not None:
+            raise ContractError(f"wakalah terms are only meaningful for the wakalah variant, not {variant.value}")
 
     @property
     def partner_count(self) -> int:
@@ -312,59 +346,18 @@ class ContractSpec:
         return self.capital.values
 
 
-def validate_spec(spec: ContractSpec) -> ContractSpec:
-    """Check all cross-field invariants of a contract; return it unchanged.
-
-    Construction already runs these checks, so this is mostly useful to
-    re-validate instances rebuilt by deserialization code.
-    """
-    d = len(spec.ratings)
-    if spec.capital is None:
-        raise ContractError("capital shares are required for this variant")
-    if spec.variant in MUDHARABAH_VARIANTS:
-        if d != 2:
-            raise ContractError(f"{spec.variant.value} needs exactly 2 partners, got {d}")
-        kappa = spec.capital.values
-        if len(kappa) != 2 or abs(kappa[0] - 1.0) > SIMPLEX_TOL or abs(kappa[1]) > SIMPLEX_TOL:
-            raise ContractError(
-                f"{spec.variant.value} requires capital (1, 0): the funder brings all capital"
-            )
-        if spec.variant is Variant.FAIR_MUDHARABAH and spec.ratings[0] != spec.ratings[1]:
-            raise ContractError(
-                "fair mudharabah rates both partners equally; use cfair_mudharabah for unequal ratings"
-            )
-    elif spec.variant is Variant.MUSHARAKAH_SELF_MANAGED:
-        if len(spec.capital) != d:
-            raise ContractError(
-                f"self-managed musharakah needs one capital share per partner: got {len(spec.capital)} for {d} partners"
-            )
-    elif spec.variant in MANAGED_VARIANTS:
-        if len(spec.capital) != d - 1:
-            raise ContractError(
-                f"{spec.variant.value} needs capital for the {d - 1} funding partners, got {len(spec.capital)}"
-            )
-    if spec.variant is Variant.MUSHARAKAH_WAKALAH:
-        if spec.wakalah is None:
-            raise ContractError("wakalah terms (r, T, k) are required for the wakalah variant")
-        if not isinstance(spec.wakalah, WakalahTerms):
-            raise ContractError(f"wakalah terms must be WakalahTerms, got {spec.wakalah!r}")
-    elif spec.wakalah is not None:
-        raise ContractError(f"wakalah terms are only meaningful for the wakalah variant, not {spec.variant.value}")
-    return spec
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Allocation:
-    """Result of a ratio computation.
+    """Result of a ratio computation, built by keyword only.
 
     ``gammas`` are the profit-sharing fractions (for the wakalah variant,
     only the funding partners carry a ratio; the manager is paid through
     ``periodic_payment``). ``payoffs`` are the per-partner expected payoffs
     in currency units, valued per ``valuation``: "maturity" for the plain
     contracts, "present_value" for the wakalah combination whose payoffs are
-    discounted to time 0. ``residual`` is the largest violation of the rated
-    payoff equalities when the result is substituted back, in currency
-    units.
+    discounted to time 0. How far the result is from fair is not stored
+    here: :func:`~plsfair.verification.verify_allocation` substitutes it
+    back into the rated-payoff equalities of its contract.
 
     Engine-produced allocations for viable risk profiles satisfy: each
     gamma in [0, 1] and the gammas sum to 1 within ``SIMPLEX_TOL``. The
@@ -374,7 +367,6 @@ class Allocation:
 
     gammas: tuple[float, ...]
     payoffs: tuple[float, ...]
-    residual: float
     periodic_payment: float | None = None
     valuation: str = "maturity"
 

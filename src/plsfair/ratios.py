@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Union
 
 from .contracts import (
     LOG_FLOAT_MAX,
@@ -154,32 +154,6 @@ def payment_factor(terms: WakalahTerms) -> float:
     return math.exp(log_period - maturity)
 
 
-def rated_payoff_spread(
-    ratings: Sequence[float],
-    kappa: Sequence[float],
-    gammas: Sequence[float],
-    profile: RiskProfile,
-    terms: WakalahTerms | None = None,
-    periodic_payment: float | None = None,
-) -> float:
-    """Max spread of the rated payoffs c_l * Pay_l on re-substitution.
-
-    Without ``terms`` every partner is paid by ratio, Pay_l = gamma_l E1 -
-    kappa_l E2. With them (the wakalah combination) each funder's payoff is
-    discounted by (1+r)^-T and bears 1/(d-1) of the manager's remuneration
-    annuity_pv * p, which is the payoff of the manager, rated last.
-    """
-    e_profit, e_loss = profile.e_profit, profile.e_loss
-    pays = [g * e_profit - k * e_loss for g, k in zip(gammas, kappa)]
-    if terms is not None:
-        discount = discount_factor(terms)
-        manager_pay = annuity_pv(terms) * periodic_payment
-        share = manager_pay / (len(ratings) - 1)
-        pays = [discount * pay - share for pay in pays] + [manager_pay]
-    rated = [c * pay for c, pay in zip(ratings, pays)]
-    return max(rated) - min(rated)
-
-
 @dataclass(frozen=True)
 class AllocationPlan:
     """A contract reduced to the effective vectors of the affine kernel.
@@ -192,7 +166,6 @@ class AllocationPlan:
     computes the sharing weights once, and evaluating it needs only the risk.
     """
 
-    ratings: tuple[float, ...]
     weights: tuple[float, ...]
     w_eff: tuple[float, ...]
     kappa_eff: tuple[float, ...]
@@ -201,11 +174,11 @@ class AllocationPlan:
     @classmethod
     def for_contract(cls, spec: ContractSpec) -> AllocationPlan:
         """Plan a contract spec of any variant."""
-        c, kappa, terms = spec.ratings.values, spec.kappa_eff, spec.wakalah
+        kappa, terms = spec.kappa_eff, spec.wakalah
         w = sharing_weights(spec.ratings).values
         if terms is not None:  # the manager's weight goes to the funders, who hold every ratio
-            return cls(c, w, tuple(w[-1] / len(kappa) + wi for wi in w[:-1]), kappa, terms)
-        return cls(c, w, w, kappa)
+            return cls(w, tuple(w[-1] / len(kappa) + wi for wi in w[:-1]), kappa, terms)
+        return cls(w, w, kappa)
 
     def gammas(self, rho: float) -> tuple[float, ...]:
         """Profit ratios at investment risk ``rho``; rho is not validated."""
@@ -213,7 +186,7 @@ class AllocationPlan:
         return tuple(w * labour + k * rho for w, k in zip(self.w_eff, self.kappa_eff))
 
     def allocation(self, risk: RiskLike) -> Allocation:
-        """Ratios, payoffs and re-substitution residual at a viable risk."""
+        """Ratios, payoffs and, under wakalah, the periodic payment at a viable risk."""
         profile = _as_profile(risk)
         gammas = self.gammas(profile.rho)
         terms, p, discount, delta = self.terms, None, 1.0, profile.delta
@@ -223,7 +196,6 @@ class AllocationPlan:
         return Allocation(
             gammas=gammas,
             payoffs=tuple(w * discount * delta for w in self.weights),
-            residual=rated_payoff_spread(self.ratings, self.kappa_eff, gammas, profile, terms, p),
             periodic_payment=p,
             valuation="maturity" if terms is None else "present_value",
         )

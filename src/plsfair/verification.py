@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .contracts import (
     Allocation,
@@ -29,13 +29,8 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
-    as_capital,
-    as_ratings,
 )
-from .ratios import annuity_pv, discount_factor, rated_payoff_spread
-
-if TYPE_CHECKING:
-    import numpy as np
+from .ratios import annuity_pv, discount_factor
 
 #: Default relative tolerance of :func:`verify_allocation`.
 DEFAULT_TOL = 1e-9
@@ -56,13 +51,6 @@ class FairnessSystem:
                 f"system of {len(self.rows)} rows and {len(self.rhs)} right-hand sides "
                 f"does not match {n} unknowns"
             )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The coefficient rows as a numpy array, which loads numpy."""
-        import numpy as np
-
-        return np.array(self.rows)
 
 
 @dataclass(frozen=True)
@@ -212,41 +200,37 @@ def solve_wakalah_system(
 
 def verify_allocation(
     alloc: Allocation,
-    ratings: Ratings,
-    capital: Capital,
+    spec: ContractSpec,
     profile: RiskProfile,
-    terms: WakalahTerms | None = None,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Substitute an allocation back into the fairness equations.
+    """Substitute an allocation back into the fairness equations of ``spec``.
 
-    The contract is wakalah when ``terms`` are given, an external mudharib
-    when ``capital`` covers only the d-1 funders, and self-managed otherwise.
-    Recomputes every rated payoff from the candidate ratios (and periodic
-    payment, for the wakalah combination), reports the maximum pairwise
-    deviation and the simplex defect, and passes iff both are within ``tol``
-    (the fairness residual relative to max(ratings) * e_profit).
+    Recomputes every rated payoff c_l * Pay_l from the candidate ratios.
+    A partner holding a ratio is paid Pay_l = gamma_l E1 - kappa_l E2, with
+    kappa_l from :attr:`~plsfair.contracts.ContractSpec.kappa_eff`. Under
+    wakalah each funder's payoff is discounted by (1+r)^-T and bears 1/(d-1)
+    of the manager's remuneration annuity_pv * p, which is the payoff of the
+    manager, rated last. Reports the spread of the rated payoffs and the
+    simplex defect, and passes iff both are within ``tol`` (the spread
+    relative to max(ratings) * e_profit).
     """
-    c, kappa = as_ratings(ratings), as_capital(capital)
-    if terms is not None:
-        variant = Variant.MUSHARAKAH_WAKALAH
-    elif len(kappa) == len(c) - 1:
-        variant = Variant.MUSHARAKAH_EXTERNAL_MUDHARIB
-    else:
-        variant = Variant.MUSHARAKAH_SELF_MANAGED
-    kappa_eff = ContractSpec(variant, c, kappa, terms).kappa_eff
+    c, kappa, terms = spec.ratings.values, spec.kappa_eff, spec.wakalah
     gammas = alloc.gammas
-    if len(gammas) != len(kappa_eff):
-        raise ContractError(f"expected {len(kappa_eff)} ratios for this contract, got {len(gammas)}")
+    if len(gammas) != len(kappa):
+        raise ContractError(f"expected {len(kappa)} ratios for this contract, got {len(gammas)}")
+    pays = [g * profile.e_profit - k * profile.e_loss for g, k in zip(gammas, kappa)]
     if terms is not None:
         if alloc.periodic_payment is None:
             raise ContractError("wakalah check needs the periodic payment p")
-        _nonzero_discount(terms)
-    max_residual = rated_payoff_spread(
-        c.values, kappa_eff, gammas, profile, terms, alloc.periodic_payment
-    )
+        discount = _nonzero_discount(terms)
+        manager_pay = annuity_pv(terms) * alloc.periodic_payment
+        share = manager_pay / (len(c) - 1)
+        pays = [discount * pay - share for pay in pays] + [manager_pay]
+    rated = [ci * pay for ci, pay in zip(c, pays)]
+    max_residual = max(rated) - min(rated)
     simplex_residual = abs(math.fsum(gammas) - 1.0)
-    scale = max(c.values) * profile.e_profit
+    scale = max(c) * profile.e_profit
     passed = max_residual <= tol * scale and simplex_residual <= tol
     return VerificationReport(
         max_fairness_residual=max_residual,

@@ -208,6 +208,22 @@ class TestRiskCommand:
         assert code == 0
         assert json.loads(out)["rho"] == pytest.approx(0.5)
 
+    def test_empirical_model_from_a_deleted_working_directory(self, capsys, tmp_path, monkeypatch):
+        data = tmp_path / "draws.txt"
+        data.write_text("R_T\n120\n90\n", encoding="utf-8")
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        flags = ["risk", "--model", "empirical", "--L", "100", "--data"]
+        code, out, err = run(capsys, [*flags, str(data)])
+        assert code == 0 and "rho:      0.5\n" in out and err == ""
+        # A relative path is opened from the working directory, which no longer exists.
+        code, out, err = run(capsys, [*flags, "draws.txt"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read draws file") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestAllocateCommand:
     def test_rated_mudharabah_file(self, capsys, tmp_path):
@@ -299,16 +315,16 @@ class TestAllocateCommand:
         rebuilt = Allocation(
             gammas=tuple(payload["gammas"]),
             payoffs=tuple(payload["payoffs"]),
-            residual=payload["residual"],
             periodic_payment=payload["periodic_payment"],
             valuation=payload["payoff_valuation"],
         )
         profile = RiskProfile.from_rho(payload["rho"], e_profit=payload["e_profit"])
-        report = verify_allocation(
-            rebuilt, (1, 2, 3, 4), (0.2, 0.3, 0.5), profile,
-            WakalahTerms(0.05, 2.0, 4), tol=1e-9,
+        spec = ContractSpec(
+            Variant.MUSHARAKAH_WAKALAH, (1, 2, 3, 4), (0.2, 0.3, 0.5), WakalahTerms(0.05, 2.0, 4)
         )
+        report = verify_allocation(rebuilt, spec, profile, tol=1e-9)
         assert report.passed
+        assert report.max_fairness_residual == payload["residual"]
 
     def test_human_report_mentions_payment_schedule(self, capsys, tmp_path):
         path = write_contract(
@@ -594,7 +610,7 @@ class TestSweepCommand:
     def test_rows_off_the_simplex_exit_1(self, capsys, tmp_path, monkeypatch):
         contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
         off_simplex = AllocationPlan(
-            ratings=(3.0, 5.0), weights=(0.6, 0.4), w_eff=(0.6, 0.4), kappa_eff=(0.6, 0.6)
+            weights=(0.6, 0.4), w_eff=(0.6, 0.4), kappa_eff=(0.6, 0.6)
         )
         monkeypatch.setattr(AllocationPlan, "for_contract", lambda spec: off_simplex)
         code, out, err = run(capsys, ["sweep", contract, "--steps", "5"])

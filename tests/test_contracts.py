@@ -18,7 +18,6 @@ from plsfair import (
     RiskProfile,
     Variant,
     WakalahTerms,
-    validate_spec,
 )
 from plsfair.cli import contract_from_dict, contract_to_dict
 from plsfair.contracts import as_capital, as_ratings
@@ -157,7 +156,6 @@ class TestContractSpec:
         spec = ContractSpec(
             variant=Variant.CFAIR_MUDHARABAH, ratings=(1, 1), capital=(1, 0)
         )
-        assert validate_spec(spec) is spec
         assert spec.capital.values == (1.0, 0.0)
 
     def test_mudharabah_capital_defaults(self):

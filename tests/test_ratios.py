@@ -40,6 +40,7 @@ from plsfair import (
     sharing_weights,
     solve_fairness_system,
     two_point_fair_ratio,
+    verify_allocation,
 )
 
 
@@ -87,24 +88,24 @@ class TestSharingWeights:
                     assert wi >= wj
 
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=17, max_size=30))
-    def test_log_space_path_matches_exact_rationals(self, ratings):
+    def test_17_to_30_small_integer_ratings_match_exact_rationals(self, ratings):
         w = sharing_weights(ratings)
         exact = [float(x) for x in weights_oracle(ratings)]
         assert w.values == pytest.approx(exact, abs=1e-13)
 
-    def test_underflowing_products_take_the_log_space_path(self):
+    def test_ratings_170_decades_apart_match_the_oracle(self):
         # every direct leave-one-out product underflows to 0 here
         ratings = (1e-170,) * 3 + (1.0,) * 3
         kappa = (0.1, 0.2, 0.05, 0.3, 0.15, 0.2)
         gammas = cfair_musharakah(ratings, kappa, 0.3).gammas
         assert gammas == pytest.approx(solve_fairness_system(ratings, kappa, 1.0, 0.3), rel=1e-12)
 
-    def test_products_too_large_to_sum_take_the_log_space_path(self):
+    def test_ratings_292_decades_apart_match_exact_rationals(self):
         ratings = (1e300, 1e8, 1e8)
         exact = [float(x) for x in weights_oracle(ratings)]
         assert sharing_weights(ratings).values == pytest.approx(exact, rel=1e-12)
 
-    def test_direct_and_log_space_agree_at_boundary(self):
+    def test_16_and_17_partners_match_exact_rationals(self):
         ratings16 = tuple(range(1, 17))
         ratings17 = ratings16 + (5,)
         for r in (ratings16, ratings17):
@@ -597,8 +598,10 @@ def test_reduction_chain(ratings, rho):
 @settings(max_examples=100)
 def test_residual_is_tiny_for_closed_forms(case):
     ratings, kappa, rho = case
-    alloc = cfair_musharakah(ratings, kappa, rho)
-    assert alloc.residual <= 1e-12 * max(ratings)
+    spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, ratings, kappa)
+    profile = RiskProfile.from_rho(rho)
+    alloc = cfair_musharakah(ratings, kappa, profile)
+    assert verify_allocation(alloc, spec, profile).max_fairness_residual <= 1e-12 * max(ratings)
 
 
 def test_allocate_dispatches_by_variant():

@@ -106,7 +106,7 @@ class TestFairnessSystem:
     def test_labels_and_shape(self):
         system = musharakah_system((1, 2, 3), (0.2, 0.3, 0.5), 1.0, 0.5)
         assert system.labels == ("gamma_1", "gamma_2", "gamma_3")
-        assert system.matrix.shape == (3, 3)
+        assert len(system.rows) == 3 and all(len(row) == 3 for row in system.rows)
 
     def test_zero_profit_rejected(self):
         with pytest.raises(ContractError):
@@ -220,34 +220,36 @@ class TestWakalahSystem:
 class TestVerifyAllocation:
     def test_closed_form_passes(self):
         profile = RiskProfile.from_expectations(10.0, 2.5)
+        spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, (1, 2, 1, 4), (0.25,) * 4)
         alloc = cfair_musharakah((1, 2, 1, 4), (0.25,) * 4, profile)
-        report = verify_allocation(alloc, (1, 2, 1, 4), (0.25,) * 4, profile, tol=1e-9)
+        report = verify_allocation(alloc, spec, profile, tol=1e-9)
         assert report.passed
         assert report.max_fairness_residual <= 1e-12 * 4 * 10.0
 
     def test_external_mudharib_capital_is_extended(self):
         profile = RiskProfile.from_expectations(10.0, 5.0)
+        spec = ContractSpec(Variant.MUSHARAKAH_EXTERNAL_MUDHARIB, (3, 3, 3, 2), (1 / 3,) * 3)
         alloc = cfair_musharakah_external_mudharib((3, 3, 3, 2), (1 / 3,) * 3, profile)
-        report = verify_allocation(alloc, (3, 3, 3, 2), (1 / 3,) * 3, profile)
+        report = verify_allocation(alloc, spec, profile)
         assert report.passed
 
     def test_wakalah_allocation_passes(self):
         profile = RiskProfile.from_expectations(10.0, 5.0)
         terms = WakalahTerms(0.05, 2.0, 4)
+        spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (1.0, 0.0), terms)
         alloc = cfair_musharakah_wakalah((1, 1, 1), (1.0, 0.0), profile, terms)
-        report = verify_allocation(alloc, (1, 1, 1), (1.0, 0.0), profile, terms)
+        report = verify_allocation(alloc, spec, profile)
         assert report.passed
 
     def test_perturbed_ratio_fails_with_linear_sensitivity(self):
         profile = RiskProfile.from_expectations(10.0, 2.5)
-        ratings = (1, 2, 1, 4)
-        alloc = cfair_musharakah(ratings, (0.25,) * 4, profile)
+        spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, (1, 2, 1, 4), (0.25,) * 4)
+        alloc = cfair_musharakah(spec.ratings, spec.capital, profile)
         bumped = Allocation(
             gammas=(alloc.gammas[0] + 0.01,) + alloc.gammas[1:],
             payoffs=alloc.payoffs,
-            residual=alloc.residual,
         )
-        report = verify_allocation(bumped, ratings, (0.25,) * 4, profile, tol=1e-9)
+        report = verify_allocation(bumped, spec, profile, tol=1e-9)
         assert not report.passed
         # bumping gamma_1 by 0.01 moves the rated payoff by c_1 * 0.01 * e_profit
         assert report.max_fairness_residual == pytest.approx(0.01 * profile.e_profit, rel=1e-9)
@@ -257,55 +259,49 @@ class TestVerifyAllocation:
         # the printed tuple (35%, 11%, 35%, 19%) violates the fairness
         # equations; swapping partners 2 and 4 gives the correct rounding
         profile = RiskProfile.from_rho(1 / 8)
-        ratings = (1, 2, 1, 4)
-        printed = Allocation(gammas=(0.35, 0.11, 0.35, 0.19), payoffs=(), residual=0.0)
-        swapped = Allocation(gammas=(0.35, 0.19, 0.35, 0.11), payoffs=(), residual=0.0)
+        spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, (1, 2, 1, 4), (0.25,) * 4)
+        printed = Allocation(gammas=(0.35, 0.11, 0.35, 0.19), payoffs=())
+        swapped = Allocation(gammas=(0.35, 0.19, 0.35, 0.11), payoffs=())
         loose = 1e-2
-        assert not verify_allocation(printed, ratings, (0.25,) * 4, profile, tol=loose).passed
-        assert verify_allocation(swapped, ratings, (0.25,) * 4, profile, tol=loose).passed
+        assert not verify_allocation(printed, spec, profile, tol=loose).passed
+        assert verify_allocation(swapped, spec, profile, tol=loose).passed
         # at the default tight tolerance even the rounded swap fails
-        assert not verify_allocation(swapped, ratings, (0.25,) * 4, profile, tol=1e-9).passed
+        assert not verify_allocation(swapped, spec, profile, tol=1e-9).passed
 
     def test_wakalah_needs_payment(self):
         profile = RiskProfile.from_expectations(10.0, 5.0)
-        terms = WakalahTerms(0.0, 1.0, 4)
-        candidate = Allocation(gammas=(0.75, 0.25), payoffs=(), residual=0.0)
-        with pytest.raises(ContractError):
-            verify_allocation(candidate, (1, 1, 1), (1.0, 0.0), profile, terms)
+        spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (1.0, 0.0), WakalahTerms(0.0, 1.0, 4))
+        candidate = Allocation(gammas=(0.75, 0.25), payoffs=())
+        with pytest.raises(ContractError, match="needs the periodic payment"):
+            verify_allocation(candidate, spec, profile)
 
     def test_dimension_mismatch(self):
         profile = RiskProfile.from_expectations(10.0, 5.0)
-        candidate = Allocation(gammas=(0.5, 0.5), payoffs=(), residual=0.0)
-        with pytest.raises(ContractError):
-            verify_allocation(candidate, (1, 1, 1), (0.25, 0.25, 0.5), profile)
+        spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, (1, 1, 1), (0.25, 0.25, 0.5))
+        candidate = Allocation(gammas=(0.5, 0.5), payoffs=())
+        with pytest.raises(ContractError, match="expected 3 ratios for this contract, got 2"):
+            verify_allocation(candidate, spec, profile)
 
     def test_discount_underflow_is_named(self):
         # (1.05)^-1e6 is 0: every payoff vanishes and a zero residual would pass vacuously
         profile = RiskProfile.from_expectations(10.0, 5.0)
-        candidate = Allocation(gammas=(0.75, 0.25), payoffs=(), residual=0.0, periodic_payment=0.0)
+        spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (1.0, 0.0), WakalahTerms(0.05, 1e6, 4))
+        candidate = Allocation(gammas=(0.75, 0.25), payoffs=(), periodic_payment=0.0)
         with pytest.raises(ContractError, match="discount .* underflows"):
-            verify_allocation(candidate, (1, 1, 1), (1.0, 0.0), profile, WakalahTerms(0.05, 1e6, 4))
+            verify_allocation(candidate, spec, profile)
+
+    def test_allocation_is_built_by_keyword_only(self):
+        # a positional third argument would otherwise be taken as the periodic payment
+        with pytest.raises(TypeError):
+            Allocation((0.5, 0.5), (), 0.0)
 
 
-_PROFILE = RiskProfile.from_expectations(10.0, 5.0)
 _TERMS = WakalahTerms(0.05, 2.0, 4)
 
 
 @pytest.mark.parametrize(
     "check, variant, capital, terms",
     [
-        (
-            lambda capital: verify_allocation(
-                Allocation((0.5, 0.25, 0.25), (), 0.0), (1, 2, 3), capital, _PROFILE
-            ),
-            Variant.MUSHARAKAH_SELF_MANAGED, (0.25,) * 4, None,
-        ),
-        (
-            lambda capital: verify_allocation(
-                Allocation((0.5, 0.5), (), 0.0, 1.0), (1, 2, 3), capital, _PROFILE, _TERMS
-            ),
-            Variant.MUSHARAKAH_WAKALAH, (0.2, 0.3, 0.5), _TERMS,
-        ),
         (
             lambda capital: musharakah_system((1, 2, 3), capital, 10.0, 5.0),
             Variant.MUSHARAKAH_SELF_MANAGED, (0.5, 0.5), None,
@@ -315,7 +311,7 @@ _TERMS = WakalahTerms(0.05, 2.0, 4)
             Variant.MUSHARAKAH_WAKALAH, (0.2, 0.3, 0.5), _TERMS,
         ),
     ],
-    ids=["verify_allocation", "verify_allocation_wakalah", "musharakah_system", "wakalah_system"],
+    ids=["musharakah_system", "wakalah_system"],
 )
 def test_capital_length_is_reported_by_the_spec(check, variant, capital, terms):
     with pytest.raises(ContractError) as from_spec:
