@@ -19,6 +19,7 @@ A contract file is a JSON document::
       "capital_amount": 100.0
     }
 
+Every numeric field is a JSON number, never a string or a boolean.
 ``capital`` may be omitted for the mudharabah variants (it is pinned to
 (1, 0)); ``wakalah`` is required exactly for the wakalah variant. Model
 kinds: ``gbm`` (mu, sigma, T), ``two_point`` (beta, r_plus, r_minus),
@@ -118,11 +119,12 @@ def contract_from_dict(doc: Any) -> ContractSpec:
         k = raw_terms["k"]
         if isinstance(k, float) and k.is_integer():
             k = int(k)
-        terms = WakalahTerms(r=raw_terms["r"], T=raw_terms["T"], k=k)
+        r, T = (_number(raw_terms[key], f"wakalah {key!r}") for key in ("r", "T"))
+        terms = WakalahTerms(r=r, T=T, k=k)
     return ContractSpec(
         variant=variant,
-        ratings=tuple(ratings),
-        capital=tuple(capital) if capital is not None else None,
+        ratings=_numbers(ratings, "rating"),
+        capital=_numbers(capital, "capital share") if capital is not None else None,
         wakalah=terms,
     )
 
@@ -151,16 +153,30 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float
 # Risk-model construction
 
 
-def _require_number(mapping: dict[str, Any], key: str) -> float:
-    if key not in mapping:
-        raise ContractError(f"missing numeric field {key!r}")
-    value = mapping[key]
+_JSON_NUMBER_TYPES = frozenset({int, float})
+
+
+def _number(value: Any, what: str) -> float:
+    """A JSON number as a float: a string or a ``bool`` is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ContractError(f"field {key!r} must be a number, got {value!r}")
+        raise ContractError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ContractError(f"field {key!r} is out of the float range, got {value!r}") from None
+        raise ContractError(f"{what} is out of the float range, got {value!r}") from None
+
+
+def _numbers(values: list, what: str) -> tuple:
+    """The entries of a JSON array, each held to :func:`_number`'s rule."""
+    if _JSON_NUMBER_TYPES.issuperset(map(type, values)):  # no call per entry in the usual case
+        return tuple(values)
+    return tuple(_number(v, f"{what} {i}") for i, v in enumerate(values, start=1))
+
+
+def _require_number(mapping: dict[str, Any], key: str) -> float:
+    if key not in mapping:
+        raise ContractError(f"missing numeric field {key!r}")
+    return _number(mapping[key], f"field {key!r}")
 
 
 def _require_capital_amount(amount: float | None, kind: str) -> float:
@@ -400,9 +416,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         gammas = tuple(float(tok) for tok in args.gammas.split(","))
     except ValueError:
-        raise ContractError(f"--gammas must be a comma-separated list of numbers, got {args.gammas!r}") from None
+        gammas = (math.nan,)
+    if not all(map(math.isfinite, gammas)):
+        raise ContractError(f"--gammas must be a comma-separated list of finite numbers, got {args.gammas!r}")
     if spec.wakalah is not None and args.p is None:
         raise ContractError("the wakalah variant needs --p (the periodic payment)")
+    if spec.wakalah is None and args.p is not None:
+        raise ContractError(f"--p applies only to the wakalah variant, not {spec.variant.value}")
     candidate = Allocation(gammas=gammas, payoffs=(), periodic_payment=args.p)
     report = verify_allocation(candidate, spec, profile, tol=args.tol)
     if args.json:
@@ -431,6 +451,17 @@ def _u64(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"seed must be an unsigned 64-bit integer, got {text!r}"
         )
+    return value
+
+
+def _finite_float(text: str, minimum: float = -math.inf) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= minimum):
+        rule = "a finite number" if minimum == -math.inf else f"a finite number >= {minimum:g}"
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
     return value
 
 
@@ -467,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checked = argparse.ArgumentParser(add_help=False, parents=[profile])
     checked.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL,
+        "--tol", type=functools.partial(_finite_float, minimum=0.0), default=DEFAULT_TOL,
         help=f"verification tolerance, relative (default {DEFAULT_TOL:g})",
     )
 
@@ -512,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("contract", help="contract JSON file")
     p_verify.add_argument("--gammas", required=True, help="comma-separated profit ratios")
-    p_verify.add_argument("--p", type=float, help="periodic payment (wakalah variant)")
+    p_verify.add_argument("--p", type=_finite_float, help="periodic payment (wakalah variant)")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -28,16 +28,15 @@ from os import PathLike
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from .contracts import LOG_FLOAT_MAX, SIMPLEX_TOL, ContractError, RiskProfile
+from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile
 
 if TYPE_CHECKING:
     import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-
-# Below this |drift-times-horizon| the analytic limit (rho = 1, delta = 0)
-# is returned, so the mu = 0 boundary reads as exactly viable.
-_MU_T_EPS = 1e-10
+# The 6-point Gauss-Legendre rule on [-1, 1], as (positive node, weight) pairs.
+_GL6 = ((0.2386191860831969, 0.46791393457269104), (0.6612093864662645, 0.3607615730481386),
+        (0.932469514203152, 0.17132449237917036))
 
 
 def std_normal_cdf(x: float) -> float:
@@ -167,19 +166,33 @@ class McConfig:
 McModel = Union[GbmParams, TwoPointScenario]
 
 
+def _interval_mass(theta: float, s: float) -> float:
+    """Phi(theta + s) - Phi(theta) for s > 0, taken over [a, a + s], the one of
+    [theta, theta + s] and its mirror [-theta - s, -theta] that starts further
+    left, where Phi is small. Where s max(1, |a|) < 0.5 the density barely
+    changes across it, and the 6-point Gauss-Legendre rule integrates it to
+    rounding; elsewhere the two CDF values differ by a fixed share at least."""
+    a = -theta - s if theta > 0.0 else theta
+    if s * max(1.0, abs(a)) < 0.5:
+        h, mid = 0.5 * s, a + 0.5 * s  # phi(mid - u) + phi(mid + u) = 2 phi(mid) e^(-u^2/2) cosh(mid u)
+        pairs = sum(w * math.exp(-0.5 * (h * x) ** 2) * math.cosh(mid * h * x) for x, w in _GL6)
+        return s * math.exp(-0.5 * mid * mid) * pairs / math.sqrt(2.0 * math.pi)
+    return std_normal_cdf(a + s) - std_normal_cdf(a)
+
+
 def gbm_closed_form(params: GbmParams) -> RiskProfile:
     """Exact risk profile of the log-normal terminal income.
 
-    With theta = (2 mu - sigma^2) T / (2 sigma sqrt(T)) and Phi the standard
-    normal CDF, the call and put sides are
+    With s = sigma sqrt(T), theta = (mu T - s^2/2) / s, m = e^(mu T) - 1,
+    Phi the standard normal CDF and D = Phi(theta + s) - Phi(theta) the mass
+    between the tails Phi(theta) and Phi(-theta - s), which sum to 1 with it:
 
-        e_profit = L (e^(mu T) Phi(theta + sigma sqrt(T)) - Phi(theta))
-        e_loss   = L (Phi(-theta) - e^(mu T) Phi(-theta - sigma sqrt(T)))
-        delta    = L (e^(mu T) - 1)
+        e_profit = L (e^(mu T) D + m Phi(theta)),   delta = L m,
+        e_loss   = L (D - m Phi(-theta - s))
 
-    each formed directly, so a small e_loss keeps its relative accuracy
-    instead of cancelling out of e_profit - delta. The investment is viable
-    iff mu >= 0 (the mu = 0 boundary carries rho = 1, delta = 0).
+    So e_profit - e_loss = delta by algebra, each side subtracts less than
+    the direct call and put forms, and mu = 0 gives rho = 1 exactly. Rounding
+    is monotone: mu >= 0 never gives rho > 1, and mu < 0 never gives rho < 1.
     """
     mu_t = params.mu * params.T
     sig_rt = params.sigma * math.sqrt(params.T)
@@ -190,20 +203,11 @@ def gbm_closed_form(params: GbmParams) -> RiskProfile:
             "is not a positive float"
         )
     theta = (mu_t - 0.5 * variance) / sig_rt
-    growth = math.exp(mu_t)
-    e_profit = params.L * (growth * std_normal_cdf(theta + sig_rt) - std_normal_cdf(theta))
-    if abs(mu_t) < _MU_T_EPS:
-        # Analytic limit; the quotient below would round either side of 1.
-        return RiskProfile(e_profit=e_profit, e_loss=e_profit, rho=1.0, delta=0.0)
-    e_loss = max(params.L * (std_normal_cdf(-theta) - growth * std_normal_cdf(-theta - sig_rt)), 0.0)
-    delta = params.L * math.expm1(mu_t)
-    if abs(e_profit - e_loss - delta) > SIMPLEX_TOL * max(1.0, e_profit, e_loss):
-        # Both sides cancelled (sigma sqrt(T) tiny against a large L): keep the
-        # smaller side and rebuild the larger one by parity, e_profit - e_loss = delta.
-        if delta >= 0.0:
-            e_profit = e_loss + delta
-        else:
-            e_loss = e_profit - delta
+    m = math.expm1(mu_t)
+    mass = _interval_mass(theta, sig_rt)
+    e_profit = params.L * (math.exp(mu_t) * mass + m * std_normal_cdf(theta))
+    e_loss = max(params.L * (mass - m * std_normal_cdf(-theta - sig_rt)), 0.0)
+    delta = params.L * m
     rho = e_loss / e_profit if e_profit > 0.0 else math.inf
     if rho == math.inf:
         raise ContractError(

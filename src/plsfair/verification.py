@@ -198,6 +198,16 @@ def solve_wakalah_system(
     return tuple(solution[:-1]), solution[-1]
 
 
+def _simplex_defect(gammas: tuple[float, ...]) -> float:
+    """|sum(gamma) - 1|, or inf where a ratio is not finite or the sum leaves the float range."""
+    if all(map(math.isfinite, gammas)):
+        try:
+            return abs(math.fsum(gammas) - 1.0)
+        except OverflowError:
+            pass
+    return math.inf
+
+
 def verify_allocation(
     alloc: Allocation,
     spec: ContractSpec,
@@ -213,7 +223,9 @@ def verify_allocation(
     of the manager's remuneration annuity_pv * p, which is the payoff of the
     manager, rated last. Reports the spread of the rated payoffs and the
     simplex defect, and passes iff both are within ``tol`` (the spread
-    relative to max(ratings) * e_profit).
+    relative to max(ratings) * e_profit). A ratio or payment that is not
+    finite, or a spread or sum beyond the float range, is reported as an
+    infinite residual and fails.
     """
     c, kappa, terms = spec.ratings.values, spec.kappa_eff, spec.wakalah
     gammas = alloc.gammas
@@ -228,8 +240,8 @@ def verify_allocation(
         share = manager_pay / (len(c) - 1)
         pays = [discount * pay - share for pay in pays] + [manager_pay]
     rated = [ci * pay for ci, pay in zip(c, pays)]
-    max_residual = max(rated) - min(rated)
-    simplex_residual = abs(math.fsum(gammas) - 1.0)
+    max_residual = max(rated) - min(rated) if all(map(math.isfinite, rated)) else math.inf
+    simplex_residual = _simplex_defect(gammas)
     scale = max(c) * profile.e_profit
     passed = max_residual <= tol * scale and simplex_residual <= tol
     return VerificationReport(

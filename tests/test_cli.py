@@ -478,6 +478,26 @@ class TestAllocateCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ratings": ["2", 1, 3]}, "rating 1 must be a number, got '2'"),
+            ({"ratings": [2, True, 3]}, "rating 2 must be a number, got True"),
+            ({"ratings": [2, 1, " 3 "]}, "rating 3 must be a number, got ' 3 '"),
+            ({"capital": [True, False]}, "capital share 1 must be a number, got True"),
+            ({"capital": [1, "0"]}, "capital share 2 must be a number, got '0'"),
+            ({"wakalah": {"r": False, "T": 1, "k": 4}}, "wakalah 'r' must be a number, got False"),
+            ({"wakalah": {"r": 0, "T": "1e0", "k": 4}}, "wakalah 'T' must be a number, got '1e0'"),
+        ],
+    )
+    def test_contract_numbers_are_json_numbers(self, capsys, tmp_path, change, message):
+        doc = {"schema": 1, "variant": "musharakah_wakalah", "ratings": [2, 1, 3], "capital": [1, 0],
+               "wakalah": {"r": 0, "T": 1, "k": 4}, "model": {"kind": "fixed_rho", "rho": 0.25}}
+        assert run(capsys, ["allocate", write_contract(tmp_path, doc, "base.json")])[0] == 0
+        code, out, err = run(capsys, ["allocate", write_contract(tmp_path, {**doc, **change})])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["allocate", str(tmp_path / "nope.json")])
         assert code == 1
@@ -730,6 +750,48 @@ class TestVerifyCommand:
             capsys, ["verify", contract, "--gammas", "0.75,0.25", "--p", "1.0"]
         )
         assert code == 0
+
+    def test_payment_is_only_for_wakalah(self, capsys, tmp_path):
+        contract = write_contract(
+            tmp_path,
+            {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+             "model": {"kind": "fixed_rho", "rho": 0.25, "delta": 8.0}},
+        )
+        code, out, err = run(capsys, ["verify", contract, "--gammas", "0.7,0.3", "--p", "123"])
+        assert code == 1 and out == ""
+        assert err == "error: --p applies only to the wakalah variant, not cfair_mudharabah\n"
+
+    GAMMAS_RULE = "--gammas must be a comma-separated list of finite numbers"
+    P_RULE = "argument --p: must be a finite number"
+    TOL_RULE = "argument --tol: must be a finite number >= 0"
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["verify", "--gammas", "inf,-inf"], 1, f"{GAMMAS_RULE}, got 'inf,-inf'"),
+            (["verify", "--gammas", "nan,0.5"], 1, f"{GAMMAS_RULE}, got 'nan,0.5'"),
+            (["verify", "--gammas", "1e308,1e308"], 3, None),
+            (["verify", "--gammas", "1e308,1e308", "--json"], 3, None),
+            (["verify", "--gammas", "0.5,0.5", "--p", "nan"], 1, f"{P_RULE}, got 'nan'"),
+            (["verify", "--gammas", "0.5,0.5", "--p", "1e999"], 1, f"{P_RULE}, got '1e999'"),
+            (["allocate", "--tol", "nan"], 1, f"{TOL_RULE}, got 'nan'"),
+            (["allocate", "--tol", "-1"], 1, f"{TOL_RULE}, got '-1'"),
+            (["allocate", "--tol", "inf"], 1, f"{TOL_RULE}, got 'inf'"),
+            (["verify", "--gammas", "0.7,0.3", "--tol=-1e-9"], 1, f"{TOL_RULE}, got '-1e-9'"),
+        ],
+    )
+    def test_numeric_flags_end_in_a_documented_exit(self, capsys, tmp_path, argv, code, message):
+        contract = write_contract(
+            tmp_path,
+            {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+             "model": {"kind": "fixed_rho", "rho": 0.25, "delta": 8.0}},
+        )
+        got, out, err = run(capsys, [argv[0], contract, *argv[1:]])
+        assert got == code and "nan" not in out.lower()
+        if message is None:  # a sum past the float range fails with an infinite residual
+            assert err == "" and "inf" in out.lower()
+        else:
+            assert out == "" and err.endswith(f"error: {message}\n")
 
     def test_json_report(self, capsys, tmp_path):
         contract = write_contract(tmp_path, self.EQUAL_KAPPA)

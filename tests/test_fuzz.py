@@ -27,6 +27,7 @@ COMMANDS = (
     ("allocate", "--json"),
     ("allocate", "--json", "--simulate", "--paths", "16"),
     ("sweep", "--steps", "3"),
+    ("verify", "--gammas", "0.5,0.5"),
     ("verify", "--gammas", "0.5,0.5", "--p", "1"),
 )
 
@@ -42,6 +43,8 @@ numbers = st.one_of(
     st.floats(),
     st.sampled_from([10**400, -(10**400), 1e-320, 1e300, 1e6, 0.05, -700.0, 0.0]),
 )
+#: JSON values that float() would turn into numbers, which a contract rejects.
+number_like = st.sampled_from(["2", " 3 ", "1e0", "0.5", True, False])
 
 
 def _rarely(usual: st.SearchStrategy, rare: st.SearchStrategy, one_in: int) -> st.SearchStrategy:
@@ -101,6 +104,10 @@ def _contracts(draw) -> dict:
                                       st.lists(numbers, min_size=n, max_size=n), 8))
     if variant is Variant.MUSHARAKAH_WAKALAH or draw(_rarely(st.just(False), st.just(True), 10)):
         doc["wakalah"] = draw(_corrupted(_wakalah))
+    for key in ("ratings", "capital"):
+        if doc.get(key) and draw(_rarely(st.just(False), st.just(True), 8)):
+            doc[key] = list(doc[key])  # a copy: sampled_from hands out one list object
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(number_like)
     return doc
 
 
@@ -143,6 +150,7 @@ def _wakalah_doc(**terms) -> dict:
 @example(doc=_empirical("missing.txt"))
 @example(doc=_empirical("subdir"))
 @example(doc=_wakalah_doc(r="x"))
+@example(doc=_wakalah_doc(r=False, T="1e0"))
 @example(doc=_wakalah_doc(k=10**400))
 @example(doc=_wakalah_doc(r=0.05, T=1e6))
 @example(doc=_gbm(-700.0, 0.1))

@@ -7,6 +7,7 @@ frozen below; Monte Carlo checks use the closed forms as oracles.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -98,9 +99,18 @@ class TestGbmClosedForm:
         assert profile.e_profit > 0.0
         assert profile.viable()
 
-    def test_near_zero_drift_guard(self):
-        profile = gbm_closed_form(GbmParams(mu=1e-12, sigma=0.2, T=1.0, L=100.0))
-        assert profile.rho == 1.0 and profile.delta == 0.0
+    @pytest.mark.parametrize(
+        "mu, sigma, T",
+        [(1e-12, 0.2, 1.0), (5.1e-8, 0.0166, 0.0016), (-2.0e-8, 1.6e-5, 0.00185)],
+        ids=["mu=1e-12", "mu=5.1e-8", "mu=-2e-8"],
+    )
+    def test_near_zero_drift_against_mpmath(self, mu, sigma, T):
+        # |mu T| is below 1e-10, yet the risk differs from 1 by 1.3e-11 to 1.3e-4.
+        profile = gbm_closed_form(GbmParams(mu, sigma, T, 100.0))
+        e_profit, e_loss = gbm_reference(mu, sigma, T, 100.0)
+        assert profile.rho == pytest.approx(float(e_loss / e_profit), rel=1e-13, abs=0.0)
+        assert profile.delta == 100.0 * math.expm1(mu * T)
+        assert profile.viable() == (mu >= 0.0)
 
     def test_vanishing_volatility_kills_the_loss(self):
         profile = gbm_closed_form(GbmParams(mu=0.1, sigma=1e-6, T=1.0, L=100.0))
@@ -133,11 +143,8 @@ class TestGbmClosedForm:
         scale = max(1.0, p.e_profit, p.e_loss)
         assert abs(p.rho * p.e_profit - p.e_loss) <= 1e-12 * scale
         assert abs(p.delta - (p.e_profit - p.e_loss)) <= 1e-12 * scale
-        if abs(mu * T) >= 1e-10:
-            assert p.viable() == (mu >= 0.0)
-        else:
-            # inside the near-cancellation guard the boundary limit applies
-            assert p.viable() and p.rho == 1.0
+        # A risk that rounds to exactly 1 is viable whatever the sign of mu.
+        assert p.viable() == (mu >= 0.0) or p.rho == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -181,12 +188,39 @@ class TestGbmClosedForm:
         [(0.0374, 1.41e-4, 1.15e-3, 1.82e5), (-1.02e-6, 1.03e-4, 1.74, 6.26e5), (3.62e-6, 2.03e-4, 9.04e-3, 7.4e8)],
     )
     def test_tiny_volatility_against_a_large_capital_is_consistent(self, mu, sigma, T, L):
-        # Both direct forms cancel here; the larger side comes from parity.
+        # Both direct call and put forms would cancel here; the interval mass does not.
         p = gbm_closed_form(GbmParams(mu, sigma, T, L))
         e_profit, e_loss = gbm_reference(mu, sigma, T, L)
         assert p.delta == L * math.expm1(mu * T)
         assert p.e_profit == pytest.approx(float(e_profit), rel=1e-8)
         assert p.e_loss == pytest.approx(float(e_loss), rel=1e-8)
+
+    def test_random_scan_against_mpmath(self):
+        # |mu| log-uniform over 1e-9..1 with both signs, sigma over 1e-6..2, T over 1e-3..100.
+        rng = np.random.default_rng(20261018)
+        logs = rng.uniform(np.log([1e-9, 1e-6, 1e-3]), np.log([1.0, 2.0, 100.0]), size=(1200, 3))
+        signs = rng.choice([-1.0, 1.0], size=1200)
+        errors = []
+        for (mu, sigma, T), sign in zip(np.exp(logs).tolist(), signs.tolist()):
+            e_profit, e_loss = gbm_reference(sign * mu, sigma, T, 100.0)
+            want = [float(v) for v in (e_profit, e_loss, e_loss / e_profit)]
+            if not all(v >= sys.float_info.min for v in want):  # no normal float holds a side
+                continue
+            p = gbm_closed_form(GbmParams(sign * mu, sigma, T, 100.0))
+            err = max(abs(got / ref - 1.0) for got, ref in zip((p.e_profit, p.e_loss, p.rho), want))
+            assert err <= 1e-9, (sign * mu, sigma, T, err)
+            errors.append(err)
+        assert len(errors) >= 1000
+        # What is left above 1e-12 is the far-out-of-the-money side (|theta| >= 8, small s).
+        assert sum(err > 1e-12 for err in errors) <= 0.1 * len(errors)
+
+    def test_far_out_of_the_money_call_against_mpmath(self):
+        # theta is about -33 and s about 1.5e-6: the call is far out of the money.
+        p = gbm_closed_form(GbmParams(-0.051, 4.9e-5, 0.001, 100.0))
+        e_profit, e_loss = gbm_reference(-0.051, 4.9e-5, 0.001, 100.0)
+        assert p.e_profit == pytest.approx(float(e_profit), rel=1e-10, abs=0.0)
+        assert p.e_loss == pytest.approx(float(e_loss), rel=1e-10, abs=0.0)
+        assert p.rho == pytest.approx(float(e_loss / e_profit), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize(
         "mu, sigma, T, match",

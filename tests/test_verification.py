@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -289,6 +290,28 @@ class TestVerifyAllocation:
         candidate = Allocation(gammas=(0.75, 0.25), payoffs=(), periodic_payment=0.0)
         with pytest.raises(ContractError, match="discount .* underflows"):
             verify_allocation(candidate, spec, profile)
+
+    @pytest.mark.parametrize(
+        "gammas, p",
+        [
+            ((math.inf, -math.inf), None),
+            ((1e308, 1e308), None),
+            ((math.nan, 0.5), None),
+            ((0.5, math.nan), None),
+            ((0.75, 0.25), math.inf),
+            ((0.75, 0.25), math.nan),
+        ],
+    )
+    def test_non_finite_candidates_fail_with_an_infinite_residual(self, gammas, p):
+        profile = RiskProfile.from_expectations(10.0, 5.0)
+        if p is None:
+            spec = ContractSpec(Variant.CFAIR_MUDHARABAH, (2, 3))
+        else:
+            spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (1.0, 0.0), WakalahTerms(0.0, 1.0, 4))
+        report = verify_allocation(Allocation(gammas=gammas, payoffs=(), periodic_payment=p), spec, profile)
+        assert not report.passed
+        assert math.inf in (report.max_fairness_residual, report.simplex_residual)
+        assert not any(map(math.isnan, (report.max_fairness_residual, report.simplex_residual)))
 
     def test_allocation_is_built_by_keyword_only(self):
         # a positional third argument would otherwise be taken as the periodic payment
