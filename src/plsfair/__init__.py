@@ -52,7 +52,6 @@ from .risk import (
     two_point_profile,
 )
 from .verification import (
-    FairnessSystem,
     VerificationReport,
     gauss_solve,
     musharakah_system,
@@ -73,7 +72,6 @@ __all__ = [
     "DominanceRegime",
     "DominanceReport",
     "EmpiricalSample",
-    "FairnessSystem",
     "GbmParams",
     "MAX_PARTNERS",
     "McConfig",

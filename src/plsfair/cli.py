@@ -38,6 +38,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -93,7 +94,7 @@ def contract_from_dict(doc: Any) -> ContractSpec:
     if not isinstance(doc, dict):
         raise ContractError(f"contract document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
-    if schema != 1:
+    if schema != 1 or isinstance(schema, bool):
         raise ContractError(f"unsupported schema {schema!r}; this tool reads schema 1")
     if "variant" not in doc:
         raise ContractError("contract document is missing 'variant'")
@@ -136,8 +137,8 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"cannot read contract file: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, a non-JSON constant, or an integer too long
         raise ContractError(f"{path}: not valid JSON: {exc}") from exc
     spec = contract_from_dict(doc)
     model = doc.get("model") if isinstance(doc, dict) else None
@@ -147,6 +148,10 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float
     if amount is not None:
         amount = _require_number({"capital_amount": amount}, "capital_amount")
     return spec, model, amount
+
+
+def _reject_constant(token: str) -> None:  # Python's json reads NaN, Infinity and -Infinity
+    raise ContractError(f"{token} is not a JSON number")
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +274,10 @@ def _flag(args: argparse.Namespace, name: str) -> float:
 # Formatting helpers
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def _fmt(x: float) -> str:
     """Display rounding: 4 significant digits (full precision lives in --json)."""
     return f"{x:.4g}"
@@ -332,10 +341,11 @@ def _contract_and_profile(args: argparse.Namespace, purpose: str) -> tuple[Contr
 
 
 def _report_payload(report: VerificationReport, tol: float) -> dict[str, Any]:
-    """The verification block of ``allocate --json`` and the body of ``verify --json``."""
+    """The verification block of ``allocate --json`` and the body of ``verify --json``;
+    a residual that is not finite is written as null, so the output stays strict JSON."""
     return {
-        "max_fairness_residual": report.max_fairness_residual,
-        "simplex_residual": report.simplex_residual,
+        "max_fairness_residual": _finite_or_none(report.max_fairness_residual),
+        "simplex_residual": _finite_or_none(report.simplex_residual),
         "passed": report.passed,
         "tol": tol,
     }
@@ -346,6 +356,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     alloc = allocate(spec, profile)
     report = verify_allocation(alloc, spec, profile, tol=args.tol)
     if args.json:
+        verification = _report_payload(report, args.tol)
         payload = {
             "variant": spec.variant.value,
             **_profile_payload(profile),
@@ -353,8 +364,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
             "payoffs": list(alloc.payoffs),
             "payoff_valuation": alloc.valuation,
             "periodic_payment": alloc.periodic_payment,
-            "residual": report.max_fairness_residual,
-            "verification": _report_payload(report, args.tol),
+            "residual": verification["max_fairness_residual"],
+            "verification": verification,
         }
         print(json.dumps(payload))
     else:
@@ -546,6 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=_finite_float, help="periodic payment (wakalah variant)")
     p_verify.set_defaults(func=cmd_verify)
 
+    # Read `--mu -5e-2` and `--L -1_000` as values, as argparse after Python 3.11 does (3.11 takes
+    # only -1 and -.5 shapes). No option here starts with a digit, so none is shadowed.
+    negative_number = re.compile(r"-\.?\d")
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = negative_number
     return parser
 
 

@@ -353,11 +353,9 @@ class Allocation:
     ``gammas`` are the profit-sharing fractions (for the wakalah variant,
     only the funding partners carry a ratio; the manager is paid through
     ``periodic_payment``). ``payoffs`` are the per-partner expected payoffs
-    in currency units, valued per ``valuation``: "maturity" for the plain
-    contracts, "present_value" for the wakalah combination whose payoffs are
-    discounted to time 0. How far the result is from fair is not stored
-    here: :func:`~plsfair.verification.verify_allocation` substitutes it
-    back into the rated-payoff equalities of its contract.
+    in currency units, valued per :attr:`valuation`. How far the result is
+    from fair is not stored here: :func:`~plsfair.verification.verify_allocation`
+    substitutes it back into the rated-payoff equalities of its contract.
 
     Engine-produced allocations for viable risk profiles satisfy: each
     gamma in [0, 1] and the gammas sum to 1 within ``SIMPLEX_TOL``. The
@@ -368,8 +366,13 @@ class Allocation:
     gammas: tuple[float, ...]
     payoffs: tuple[float, ...]
     periodic_payment: float | None = None
-    valuation: str = "maturity"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gammas", _as_float_tuple(self.gammas))
         object.__setattr__(self, "payoffs", _as_float_tuple(self.payoffs))
+
+    @property
+    def valuation(self) -> str:
+        """How ``payoffs`` are valued: "present_value" when a periodic payment
+        is set (wakalah payoffs are discounted to time 0), else "maturity"."""
+        return "maturity" if self.periodic_payment is None else "present_value"

@@ -197,7 +197,6 @@ class AllocationPlan:
             gammas=gammas,
             payoffs=tuple(w * discount * delta for w in self.weights),
             periodic_payment=p,
-            valuation="maturity" if terms is None else "present_value",
         )
 
 

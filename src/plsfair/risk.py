@@ -14,9 +14,9 @@ streams fixed-size chunks through a counter-based generator keyed by
 (seed, chunk index), so results are a pure function of
 (model, seed, n_paths, chunk_size) no matter how chunks would be scheduled.
 
-Only the functions that make or read draws import numpy, inside their
-bodies: numpy loads with the first draw, and a process that uses only the
-closed forms never loads it.
+Only the functions that build or reduce draws arrays import numpy, inside
+their bodies: numpy loads with the first sample or simulation, and a process
+that uses only the closed forms, or only reads a draws file, never loads it.
 """
 
 from __future__ import annotations
@@ -102,10 +102,11 @@ class TwoPointScenario:
 class EmpiricalSample:
     """Observed terminal incomes against a capital L.
 
-    ``draws`` may be any flat sequence of numbers. It is held as a read-only
-    1-D float64 array: copied once, or not at all when it already is one
-    that views only read-only arrays, as ``load_empirical_draws`` returns.
-    Samples compare by identity, so ``==`` and ``hash`` never walk the draws.
+    ``draws`` may be any flat sequence of numbers, such as the list of floats
+    ``load_empirical_draws`` returns. The sample always builds its own
+    read-only 1-D float64 array from it, so no one can write to the draws
+    after they are checked. Samples compare by identity, so ``==`` and
+    ``hash`` never walk the draws.
     """
 
     draws: np.ndarray
@@ -114,13 +115,11 @@ class EmpiricalSample:
     def __post_init__(self) -> None:
         import numpy as np
 
-        values = self.draws
-        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and _frozen(values)):
-            try:
-                values = np.array(values, dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ContractError(f"draws must be a sequence of numbers: {exc}") from exc
-            values.flags.writeable = False
+        try:
+            values = np.array(self.draws, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ContractError(f"draws must be a sequence of numbers: {exc}") from exc
+        values.flags.writeable = False
         object.__setattr__(self, "draws", values)
         if values.ndim != 1:
             raise ContractError(f"draws must be a flat sequence of numbers, got shape {values.shape}")
@@ -132,18 +131,6 @@ class EmpiricalSample:
             raise ContractError(f"draw {i + 1} must be a finite non-negative income, got {float(values[i])}")
         if not math.isfinite(self.L):
             raise ContractError(f"capital must be finite, got {self.L}")
-
-
-def _frozen(values: np.ndarray) -> bool:
-    """True when ``values`` and every array it views are read-only arrays, so
-    no one can write to the draws after they are checked."""
-    import numpy as np
-
-    while values is not None:
-        if not isinstance(values, np.ndarray) or values.flags.writeable:
-            return False
-        values = values.base
-    return True
 
 
 @dataclass(frozen=True)
@@ -332,17 +319,16 @@ def monte_carlo_profile(model: McModel, cfg: McConfig) -> RiskProfile:
     return _profile_from_moments(moments)
 
 
-def load_empirical_draws(path: Union[str, PathLike]) -> np.ndarray:
+def load_empirical_draws(path: Union[str, PathLike]) -> list[float]:
     """Read terminal draws from a plain-text file, one number per line.
 
     Each line holds exactly what Python's ``float()`` accepts, padded with
     any whitespace. An optional first-line header ``R_T`` is skipped; blank
     lines are ignored; LF, CRLF and CR end lines, as does every other line
-    break ``str.splitlines`` knows. Returns a read-only 1-D float64 array;
-    an error names the first line ``float()`` rejects.
+    break ``str.splitlines`` knows. Returns the draws as a list of Python
+    floats, which ``EmpiricalSample`` turns into its array; an error names
+    the first line ``float()`` rejects.
     """
-    import numpy as np
-
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -364,6 +350,4 @@ def load_empirical_draws(path: Union[str, PathLike]) -> np.ndarray:
         raise  # unreachable: some line failed above
     if not draws:
         raise ContractError(f"{path}: no draws found")
-    values = np.array(draws, dtype=float)
-    values.flags.writeable = False
-    return values
+    return draws

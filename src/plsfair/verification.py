@@ -36,23 +36,6 @@ from .ratios import annuity_pv, discount_factor
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class FairnessSystem:
-    """A dense linear system in the unknowns named by ``labels``."""
-
-    rows: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.rows) != n or any(len(row) != n for row in self.rows) or len(self.rhs) != n:
-            raise ContractError(
-                f"system of {len(self.rows)} rows and {len(self.rhs)} right-hand sides "
-                f"does not match {n} unknowns"
-            )
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Residuals of a candidate allocation against the fairness equations.
@@ -118,8 +101,9 @@ def _nonzero_discount(terms: WakalahTerms) -> float:
 
 def musharakah_system(
     ratings: Ratings, capital: Capital, e_profit: float, e_loss: float
-) -> FairnessSystem:
-    """Stack the d-1 pairwise rated-payoff equalities plus sum(gamma) = 1.
+) -> tuple[list[list[float]], list[float]]:
+    """Stack the d-1 pairwise rated-payoff equalities plus sum(gamma) = 1,
+    as ``(rows, rhs)`` in the unknowns gamma_1..gamma_d.
 
     Each partner j other than the lowest-rated partner m gets the row
     c_j (gamma_j E1 - kappa_j E2) = c_m (gamma_m E1 - kappa_m E2), divided
@@ -136,20 +120,18 @@ def musharakah_system(
             ratio = c[m] / c[j]
             row = [0.0] * d
             row[j], row[m] = 1.0, -ratio
-            rows.append(tuple(row))
+            rows.append(row)
             rhs.append((kappa[j] - ratio * kappa[m]) * rho)
-    rows.append((1.0,) * d)
+    rows.append([1.0] * d)
     rhs.append(1.0)
-    labels = tuple(f"gamma_{i + 1}" for i in range(d))
-    return FairnessSystem(rows=tuple(rows), rhs=tuple(rhs), labels=labels)
+    return rows, rhs
 
 
 def solve_fairness_system(
     ratings: Ratings, capital: Capital, e_profit: float, e_loss: float
 ) -> tuple[float, ...]:
     """Profit ratios equalizing the rated payoffs, by direct linear solve."""
-    system = musharakah_system(ratings, capital, e_profit, e_loss)
-    return tuple(gauss_solve(system.rows, system.rhs))
+    return tuple(gauss_solve(*musharakah_system(ratings, capital, e_profit, e_loss)))
 
 
 def wakalah_system(
@@ -158,8 +140,9 @@ def wakalah_system(
     e_profit: float,
     e_loss: float,
     terms: WakalahTerms,
-) -> FairnessSystem:
-    """Stack the wakalah fairness equations in (gamma_1..gamma_{d-1}, p).
+) -> tuple[list[list[float]], list[float]]:
+    """Stack the wakalah fairness equations as ``(rows, rhs)`` in the
+    unknowns (gamma_1..gamma_{d-1}, p).
 
     Funding partner l's discounted payoff is
     (1+r)^-T (gamma_l E1 - kappa_l E2) - annuity_pv * p / (d-1); the
@@ -177,12 +160,11 @@ def wakalah_system(
         row = [0.0] * d
         row[j] = c[j] * discount * profile.e_profit
         row[d - 1] = -(c[j] / (d - 1) + c[d - 1]) * pv
-        rows.append(tuple(row))
+        rows.append(row)
         rhs.append(c[j] * kappa[j] * discount * profile.e_loss)
-    rows.append((1.0,) * (d - 1) + (0.0,))
+    rows.append([1.0] * (d - 1) + [0.0])
     rhs.append(1.0)
-    labels = tuple(f"gamma_{i + 1}" for i in range(d - 1)) + ("p",)
-    return FairnessSystem(rows=tuple(rows), rhs=tuple(rhs), labels=labels)
+    return rows, rhs
 
 
 def solve_wakalah_system(
@@ -193,8 +175,7 @@ def solve_wakalah_system(
     terms: WakalahTerms,
 ) -> tuple[tuple[float, ...], float]:
     """Ratios and periodic payment from the raw wakalah system."""
-    system = wakalah_system(ratings, capital, e_profit, e_loss, terms)
-    solution = gauss_solve(system.rows, system.rhs)
+    solution = gauss_solve(*wakalah_system(ratings, capital, e_profit, e_loss, terms))
     return tuple(solution[:-1]), solution[-1]
 
 

@@ -45,6 +45,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def strict_json(text):
+    """Parse ``--json`` output as strict JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 class TestRiskCommand:
     def test_gbm_closed_form(self, capsys):
         code, out, _ = run(
@@ -62,7 +71,7 @@ class TestRiskCommand:
              "--L", "100", "--json"],
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["delta"] == pytest.approx(10.517091807564762, rel=1e-13)
         assert payload["viable"] is True
 
@@ -73,7 +82,7 @@ class TestRiskCommand:
              "--r-minus", "90", "--L", "100", "--json"],
         )
         assert code == 0
-        assert json.loads(out)["rho"] == pytest.approx(1 / 3, abs=1e-15)
+        assert strict_json(out)["rho"] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_negative_drift_is_not_viable(self, capsys):
         code, out, _ = run(
@@ -90,7 +99,7 @@ class TestRiskCommand:
              "--L", "100", "--simulate", "--paths", "50000", "--seed", "9", "--json"],
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["se_rho"] > 0.0
         assert payload["rho"] == pytest.approx(0.2829, abs=0.02)
 
@@ -100,6 +109,13 @@ class TestRiskCommand:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    @pytest.mark.parametrize("value", ["-5e-2", "-0.5E-1", "-5_0e-3"])
+    def test_negative_exponent_form_is_a_flag_value(self, capsys, value):
+        flags = ["--sigma", "0.2", "--T", "1", "--L", "100"]
+        attached = run(capsys, ["risk", "--model", "gbm", "--mu=-5e-2", *flags])
+        spaced = run(capsys, ["risk", "--model", "gbm", "--mu", value, *flags])
+        assert spaced == attached and attached[0] == 2
 
     def test_missing_model_flag_is_an_input_error(self, capsys):
         code, _, err = run(capsys, ["risk", "--model", "gbm", "--mu", "0.1", "--L", "100"])
@@ -180,7 +196,7 @@ class TestRiskCommand:
             ["risk", "--model", "empirical", "--data", str(data), "--L", "100", "--json"],
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert {"se_profit", "se_loss", "se_rho", "se_delta"} <= payload.keys()
         assert payload["se_rho"] > 0.0 and payload["se_delta"] > 0.0
 
@@ -206,7 +222,7 @@ class TestRiskCommand:
             ["risk", "--model", "empirical", "--data", str(data), "--L", "100", "--json"],
         )
         assert code == 0
-        assert json.loads(out)["rho"] == pytest.approx(0.5)
+        assert strict_json(out)["rho"] == pytest.approx(0.5)
 
     def test_empirical_model_from_a_deleted_working_directory(self, capsys, tmp_path, monkeypatch):
         data = tmp_path / "draws.txt"
@@ -238,7 +254,7 @@ class TestAllocateCommand:
         )
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["gammas"] == pytest.approx([0.70, 0.30], abs=1e-12)
         assert payload["verification"]["passed"] is True
 
@@ -255,7 +271,7 @@ class TestAllocateCommand:
         )
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
-        gammas = json.loads(out)["gammas"]
+        gammas = strict_json(out)["gammas"]
         assert gammas == pytest.approx([1 / 6, 1 / 3, 1 / 6, 1 / 3], abs=1e-14)
 
     def test_wakalah_file(self, capsys, tmp_path):
@@ -272,7 +288,7 @@ class TestAllocateCommand:
         )
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["gammas"] == pytest.approx([0.75, 0.25], abs=1e-15)
         # p = (1/k) * w_manager * delta = (1/4)(1/3)(12)
         assert payload["periodic_payment"] == pytest.approx(1.0, rel=1e-12)
@@ -311,13 +327,13 @@ class TestAllocateCommand:
         )
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         rebuilt = Allocation(
             gammas=tuple(payload["gammas"]),
             payoffs=tuple(payload["payoffs"]),
             periodic_payment=payload["periodic_payment"],
-            valuation=payload["payoff_valuation"],
         )
+        assert rebuilt.valuation == payload["payoff_valuation"]
         profile = RiskProfile.from_rho(payload["rho"], e_profit=payload["e_profit"])
         spec = ContractSpec(
             Variant.MUSHARAKAH_WAKALAH, (1, 2, 3, 4), (0.2, 0.3, 0.5), WakalahTerms(0.05, 2.0, 4)
@@ -356,7 +372,7 @@ class TestAllocateCommand:
         )
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         rho = 0.2828568099840214
         assert payload["gammas"][0] == pytest.approx(0.5 * (1 + rho), rel=1e-10)
 
@@ -374,7 +390,7 @@ class TestAllocateCommand:
         )
         code, out, _ = run(capsys, ["allocate", path, "--json"])
         assert code == 0
-        assert json.loads(out)["rho"] == pytest.approx(0.5)
+        assert strict_json(out)["rho"] == pytest.approx(0.5)
 
     def test_empirical_path_follows_a_symlinked_contract(self, capsys, tmp_path):
         real, other = tmp_path / "real", tmp_path / "other"
@@ -396,7 +412,7 @@ class TestAllocateCommand:
         (other / "link.json").symlink_to(target)
         code, out, _ = run(capsys, ["allocate", str(other / "link.json"), "--json"])
         assert code == 0
-        assert json.loads(out)["rho"] == pytest.approx(0.5)
+        assert strict_json(out)["rho"] == pytest.approx(0.5)
 
     def test_contract_path_is_keyword_only(self, tmp_path):
         # A directory passed where a base directory once went must not be
@@ -488,6 +504,7 @@ class TestAllocateCommand:
             ({"capital": [1, "0"]}, "capital share 2 must be a number, got '0'"),
             ({"wakalah": {"r": False, "T": 1, "k": 4}}, "wakalah 'r' must be a number, got False"),
             ({"wakalah": {"r": 0, "T": "1e0", "k": 4}}, "wakalah 'T' must be a number, got '1e0'"),
+            ({"schema": True}, "unsupported schema True; this tool reads schema 1"),
         ],
     )
     def test_contract_numbers_are_json_numbers(self, capsys, tmp_path, change, message):
@@ -497,6 +514,25 @@ class TestAllocateCommand:
         code, out, err = run(capsys, ["allocate", write_contract(tmp_path, {**doc, **change})])
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "change, token",
+        [
+            ({"capital_amount": math.nan}, "NaN"),
+            ({"capital_amount": math.inf}, "Infinity"),
+            ({"capital_amount": -math.inf}, "-Infinity"),
+            ({"ratings": [2, math.nan]}, "NaN"),
+        ],
+    )
+    def test_contract_files_are_strict_json(self, capsys, tmp_path, change, token):
+        doc = {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+               "model": {"kind": "fixed_rho", "rho": 0.25}}
+        assert run(capsys, ["allocate", write_contract(tmp_path, doc, "base.json")])[0] == 0
+        # json.dumps writes these floats as the bare tokens NaN, Infinity and -Infinity.
+        path = write_contract(tmp_path, {**doc, **change})
+        code, out, err = run(capsys, ["allocate", path])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: not valid JSON: {token} is not a JSON number\n"
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["allocate", str(tmp_path / "nope.json")])
@@ -560,6 +596,12 @@ class TestSweepCommand:
         contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
         code, _, _ = run(capsys, ["sweep", contract, *bounds])
         assert code == 1
+
+    def test_negative_exponent_form_reaches_the_range_rule(self, capsys, tmp_path):
+        contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        code, out, err = run(capsys, ["sweep", contract, "--rho-from", "-1e-1"])
+        assert code == 1 and out == ""
+        assert err == "error: need 0 <= --rho-from < --rho-to <= 1, got [-0.1, 1.0]\n"
 
     @pytest.mark.parametrize(
         "flag", [["--simulate"], ["--json"], ["--seed", "1"], ["--paths", "10"], ["--tol", "1e-3"]]
@@ -778,6 +820,7 @@ class TestVerifyCommand:
             (["allocate", "--tol", "-1"], 1, f"{TOL_RULE}, got '-1'"),
             (["allocate", "--tol", "inf"], 1, f"{TOL_RULE}, got 'inf'"),
             (["verify", "--gammas", "0.7,0.3", "--tol=-1e-9"], 1, f"{TOL_RULE}, got '-1e-9'"),
+            (["verify", "--gammas", "0.7,0.3", "--tol", "-1e-9"], 1, f"{TOL_RULE}, got '-1e-9'"),
         ],
     )
     def test_numeric_flags_end_in_a_documented_exit(self, capsys, tmp_path, argv, code, message):
@@ -788,10 +831,36 @@ class TestVerifyCommand:
         )
         got, out, err = run(capsys, [argv[0], contract, *argv[1:]])
         assert got == code and "nan" not in out.lower()
-        if message is None:  # a sum past the float range fails with an infinite residual
+        if message is None and "--json" in argv:  # --json writes an infinite residual as null
+            payload = strict_json(out)
+            assert err == "" and payload["max_fairness_residual"] is None
+        elif message is None:  # a sum past the float range fails with an infinite residual
             assert err == "" and "inf" in out.lower()
         else:
             assert out == "" and err.endswith(f"error: {message}\n")
+
+    def test_json_report_of_an_infinite_residual_is_strict_json(self, capsys, tmp_path):
+        contract = write_contract(
+            tmp_path,
+            {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+             "model": {"kind": "fixed_rho", "rho": 0.25, "delta": 8.0}},
+        )
+        code, out, err = run(capsys, ["verify", contract, "--gammas", "1e308,1e308", "--json"])
+        assert code == 3 and err == ""
+        payload = strict_json(out)
+        assert payload["max_fairness_residual"] is None and payload["simplex_residual"] is None
+        assert payload["passed"] is False
+
+    def test_allocate_json_writes_an_infinite_residual_as_null(self, capsys, tmp_path):
+        # Every rated payoff overflows: the residual is infinite in both places it is printed.
+        contract = write_contract(
+            tmp_path,
+            {"schema": 1, "variant": "cfair_mudharabah", "ratings": [1e300, 1e300],
+             "model": {"kind": "fixed_rho", "rho": 0.25, "delta": 1e308}},
+        )
+        _, out, _ = run(capsys, ["allocate", contract, "--json"])
+        payload = strict_json(out)
+        assert payload["residual"] is None and payload["verification"]["max_fairness_residual"] is None
 
     def test_json_report(self, capsys, tmp_path):
         contract = write_contract(tmp_path, self.EQUAL_KAPPA)
@@ -800,7 +869,7 @@ class TestVerifyCommand:
             ["verify", contract, "--gammas", "0.35,0.19,0.35,0.11", "--tol", "1e-2", "--json"],
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["passed"] is True
         assert payload["max_fairness_residual"] > 0.0
 

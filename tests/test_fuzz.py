@@ -138,6 +138,10 @@ def _empirical(path: str) -> dict:
     }
 
 
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def _wakalah_doc(**terms) -> dict:
     return {
         "schema": 1, "variant": "musharakah_wakalah", "ratings": [1, 1, 1], "capital": [0.5, 0.5],
@@ -163,6 +167,8 @@ def test_no_exception_escapes_the_cli(workdir, doc):
         with redirect_stdout(out), redirect_stderr(err):
             code = main([command, str(path), *flags])
         assert code in (0, 1, 2, 3)
+        if code in (0, 3) and "--json" in flags:  # strict JSON: no NaN or Infinity
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
         if code in (1, 2):
             message = err.getvalue()
             assert message.startswith("error: ") and message.count("\n") == 1, message

@@ -341,10 +341,10 @@ class TestEmpiricalProfile:
     def test_draws_are_copied_at_most_once(self):
         mine = np.array([120.0, 90.0])
         sample = EmpiricalSample(mine, 100.0)
-        mine[0] = 0.0  # a writeable array is copied, so this does not reach the sample
+        mine[0] = 0.0  # each sample copies its input once, so this does not reach it
         assert sample.draws.tolist() == [120.0, 90.0]
-        frozen = sample.draws
-        assert EmpiricalSample(frozen, 50.0).draws is frozen
+        frozen = sample.draws  # not even a read-only array is shared
+        assert EmpiricalSample(frozen, 50.0).draws is not frozen
 
     def test_read_only_view_of_a_writeable_array_is_copied(self):
         mine = np.array([120.0, 90.0])
@@ -485,17 +485,17 @@ class TestDrawsFile:
     def test_plain_lf(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_text("120.0\n90.0\n", encoding="utf-8")
-        assert load_empirical_draws(path).tolist() == [120.0, 90.0]
+        assert load_empirical_draws(path) == [120.0, 90.0]
 
     def test_crlf_and_header(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_bytes(b"R_T\r\n120.5\r\n90.25\r\n")
-        assert load_empirical_draws(path).tolist() == [120.5, 90.25]
+        assert load_empirical_draws(path) == [120.5, 90.25]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_text("R_T\n120.0\n\n90.0\n\n", encoding="utf-8")
-        assert load_empirical_draws(path).tolist() == [120.0, 90.0]
+        assert load_empirical_draws(path) == [120.0, 90.0]
 
     def test_garbage_line_rejected(self, tmp_path):
         path = tmp_path / "draws.txt"
@@ -517,11 +517,13 @@ class TestDrawsFile:
                 with pytest.raises(ContractError, match="no draws found"):
                     load_empirical_draws(path)
 
-    def test_result_is_a_read_only_float64_vector(self, tmp_path):
+    def test_result_is_a_list_of_floats_the_sample_freezes(self, tmp_path):
         path = tmp_path / "draws.txt"
         for text in ("120\n90\n", "1_000\n"):
             path.write_text(text, encoding="utf-8")
-            draws = load_empirical_draws(path)
+            loaded = load_empirical_draws(path)
+            assert type(loaded) is list and all(type(v) is float for v in loaded)
+            draws = EmpiricalSample(loaded, 100.0).draws
             assert draws.dtype == np.float64 and draws.ndim == 1
             with pytest.raises(ValueError):
                 draws[0] = 1.0

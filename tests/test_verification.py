@@ -104,10 +104,9 @@ class TestFairnessSystem:
         assert gammas == pytest.approx((0.70, 0.30), abs=1e-14)
         assert gammas == pytest.approx(cfair_mudharabah((2, 3), 0.25).gammas, abs=1e-14)
 
-    def test_labels_and_shape(self):
-        system = musharakah_system((1, 2, 3), (0.2, 0.3, 0.5), 1.0, 0.5)
-        assert system.labels == ("gamma_1", "gamma_2", "gamma_3")
-        assert len(system.rows) == 3 and all(len(row) == 3 for row in system.rows)
+    def test_shape(self):
+        rows, rhs = musharakah_system((1, 2, 3), (0.2, 0.3, 0.5), 1.0, 0.5)
+        assert len(rows) == 3 and all(len(row) == 3 for row in rows) and len(rhs) == 3
 
     def test_zero_profit_rejected(self):
         with pytest.raises(ContractError):
