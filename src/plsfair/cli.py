@@ -557,9 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=_finite_float, help="periodic payment (wakalah variant)")
     p_verify.set_defaults(func=cmd_verify)
 
-    # Read `--mu -5e-2` and `--L -1_000` as values, as argparse after Python 3.11 does (3.11 takes
-    # only -1 and -.5 shapes). No option here starts with a digit, so none is shadowed.
-    negative_number = re.compile(r"-\.?\d")
+    # Read `--mu -5e-2`, `--L -1_000` and `--tol -inf` as values: argparse on 3.11 takes only -1
+    # and -.5 shapes. No option here starts with a digit or is spelt -inf or -nan, so none is shadowed.
+    negative_number = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = negative_number
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
@@ -143,20 +143,21 @@ def as_capital(capital: Capital) -> CapitalShares:
 
 @dataclass(frozen=True)
 class RiskProfile:
-    """Expected profit/loss of an investment and the derived risk figures.
+    """The expected profit and loss of an investment, as a model measured them.
 
     ``e_profit`` is the expected upside E[(R_T - L)^+] and ``e_loss`` the
-    expected downside E[(L - R_T)^+], both in currency units. ``rho`` is
-    their ratio (the investment risk) and ``delta = e_profit - e_loss`` the
-    expected investment profit, which also equals E[R_T] - L. Optional
-    standard errors are attached by stochastic estimators; analytic profiles
-    leave them as None.
+    expected downside E[(L - R_T)^+], both in currency units. The investment
+    risk :attr:`rho` is derived from them and never stored. ``delta``, the
+    expected investment profit E[R_T] - L, defaults to ``e_profit - e_loss``;
+    a model that knows it more accurately passes it, and it must agree with
+    that difference. ``delta`` and the optional standard errors, attached by
+    stochastic estimators, are keyword-only.
     """
 
     e_profit: float
     e_loss: float
-    rho: float
-    delta: float
+    _: KW_ONLY
+    delta: float | None = None
     se_profit: float | None = None
     se_loss: float | None = None
     se_rho: float | None = None
@@ -169,37 +170,19 @@ class RiskProfile:
             )
         if not math.isfinite(self.e_loss) or self.e_loss < 0.0:
             raise ContractError(f"expected loss must be non-negative, got {self.e_loss}")
-        # Identity tolerances scale with the currency magnitude.
-        scale = max(1.0, self.e_profit, self.e_loss)
-        if abs(self.rho * self.e_profit - self.e_loss) > SIMPLEX_TOL * scale:
-            raise ContractError("rho is inconsistent with e_loss / e_profit")
-        if abs(self.delta - (self.e_profit - self.e_loss)) > SIMPLEX_TOL * scale:
+        if self.rho == math.inf:
+            raise ContractError(f"the risk ratio e_loss / e_profit overflows at {self.e_loss} / {self.e_profit}")
+        difference = self.e_profit - self.e_loss
+        if self.delta is None:
+            object.__setattr__(self, "delta", difference)
+        elif not abs(self.delta - difference) <= SIMPLEX_TOL * max(1.0, self.e_profit, self.e_loss):
+            # The tolerance scales with the currency magnitude; a NaN delta fails it too.
             raise ContractError("delta is inconsistent with e_profit - e_loss")
 
-    @classmethod
-    def from_expectations(
-        cls,
-        e_profit: float,
-        e_loss: float,
-        *,
-        se_profit: float | None = None,
-        se_loss: float | None = None,
-        se_rho: float | None = None,
-        se_delta: float | None = None,
-    ) -> "RiskProfile":
-        """Build a profile from the two expectations, deriving rho and delta."""
-        if not math.isfinite(e_profit) or e_profit <= 0.0:
-            raise ContractError(f"expected profit must be positive, got {e_profit}")
-        return cls(
-            e_profit=e_profit,
-            e_loss=e_loss,
-            rho=e_loss / e_profit,
-            delta=e_profit - e_loss,
-            se_profit=se_profit,
-            se_loss=se_loss,
-            se_rho=se_rho,
-            se_delta=se_delta,
-        )
+    @property
+    def rho(self) -> float:
+        """The investment risk e_loss / e_profit."""
+        return self.e_loss / self.e_profit
 
     @classmethod
     def from_rho(
@@ -222,16 +205,16 @@ class RiskProfile:
         if delta is not None and e_profit is not None:
             raise ContractError("supply delta or e_profit, not both")
         if e_profit is not None:
-            return cls.from_expectations(float(e_profit), rho * float(e_profit))
+            return cls(float(e_profit), rho * float(e_profit))
         if delta is not None:
             delta = float(delta)
             if rho == 1.0:
                 if delta != 0.0:
                     raise ContractError("rho = 1 forces delta = 0")
-                return cls.from_expectations(1.0, 1.0)
+                return cls(1.0, 1.0)
             ep = delta / (1.0 - rho)
-            return cls.from_expectations(ep, rho * ep)
-        return cls.from_expectations(1.0, rho)
+            return cls(ep, rho * ep)
+        return cls(1.0, rho)
 
     def viable(self) -> bool:
         """Whether the expected profit covers the expected loss (rho <= 1)."""

@@ -48,6 +48,12 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+def _require_capital(L: float) -> None:
+    """The one rule for the capital L of every model: a finite positive amount."""
+    if not math.isfinite(L) or L <= 0.0:
+        raise ContractError(f"capital must be positive, got {L}")
+
+
 @dataclass(frozen=True)
 class GbmParams:
     """Geometric Brownian motion for the income process, started at L.
@@ -70,8 +76,7 @@ class GbmParams:
             raise ContractError(f"volatility must be positive, got {self.sigma}")
         if not math.isfinite(self.T) or self.T <= 0.0:
             raise ContractError(f"horizon must be positive, got {self.T}")
-        if not math.isfinite(self.L) or self.L <= 0.0:
-            raise ContractError(f"capital must be positive, got {self.L}")
+        _require_capital(self.L)
         mu_t = self.mu * self.T
         if mu_t > LOG_FLOAT_MAX or not math.isfinite(self.L * math.exp(mu_t)):
             raise ContractError(f"expected income L e^(mu T) overflows at mu T = {mu_t}, L = {self.L}")
@@ -89,9 +94,10 @@ class TwoPointScenario:
     def __post_init__(self) -> None:
         if not math.isfinite(self.beta) or not 0.0 < self.beta <= 1.0:
             raise ContractError(f"success probability must lie in (0, 1], got {self.beta}")
-        for name, v in (("r_plus", self.r_plus), ("r_minus", self.r_minus), ("L", self.L)):
+        for name, v in (("r_plus", self.r_plus), ("r_minus", self.r_minus)):
             if not math.isfinite(v):
                 raise ContractError(f"{name} must be finite, got {v}")
+        _require_capital(self.L)
         if not self.r_plus > self.L:
             raise ContractError(f"success revenue {self.r_plus} must exceed the capital {self.L}")
         if not self.r_minus <= self.L:
@@ -129,8 +135,7 @@ class EmpiricalSample:
         if not valid.all():
             i = int(valid.argmin())
             raise ContractError(f"draw {i + 1} must be a finite non-negative income, got {float(values[i])}")
-        if not math.isfinite(self.L):
-            raise ContractError(f"capital must be finite, got {self.L}")
+        _require_capital(self.L)
 
 
 @dataclass(frozen=True)
@@ -194,14 +199,12 @@ def gbm_closed_form(params: GbmParams) -> RiskProfile:
     mass = _interval_mass(theta, sig_rt)
     e_profit = params.L * (math.exp(mu_t) * mass + m * std_normal_cdf(theta))
     e_loss = max(params.L * (mass - m * std_normal_cdf(-theta - sig_rt)), 0.0)
-    delta = params.L * m
-    rho = e_loss / e_profit if e_profit > 0.0 else math.inf
-    if rho == math.inf:
+    if not e_profit > 0.0 or e_loss / e_profit == math.inf:
         raise ContractError(
             f"expected profit {e_profit} underflows at mu = {params.mu}, sigma = {params.sigma}, "
             f"T = {params.T}: the risk ratio e_loss / e_profit is not representable"
         )
-    return RiskProfile(e_profit=e_profit, e_loss=e_loss, rho=rho, delta=delta)
+    return RiskProfile(e_profit, e_loss, delta=params.L * m)
 
 
 def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
@@ -212,7 +215,7 @@ def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
     """
     e_profit = scenario.beta * (scenario.r_plus - scenario.L)
     e_loss = (1.0 - scenario.beta) * (scenario.L - scenario.r_minus)
-    return RiskProfile.from_expectations(e_profit, e_loss)
+    return RiskProfile(e_profit, e_loss)
 
 
 def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
@@ -265,7 +268,7 @@ def _profile_from_moments(m: tuple) -> RiskProfile:
     dof = max(n - 1, 1)  # one draw: both M2s and mean_x * mean_y are 0
     var_x, var_y, cov_xy = m2_x / dof, m2_y / dof, -n * mean_x * mean_y / dof
     rho = mean_y / mean_x
-    return RiskProfile.from_expectations(
+    return RiskProfile(
         mean_x, mean_y,
         se_profit=math.sqrt(var_x) / math.sqrt(n),
         se_loss=math.sqrt(var_y) / math.sqrt(n),

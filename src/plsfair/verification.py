@@ -110,7 +110,7 @@ def musharakah_system(
     by c_j E1: gamma_j - (c_m/c_j) gamma_m = (kappa_j - (c_m/c_j) kappa_m) E2/E1.
     """
     spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, ratings, capital)
-    rho = RiskProfile.from_expectations(e_profit, e_loss).rho
+    rho = RiskProfile(e_profit, e_loss).rho
     c, kappa = spec.ratings.values, spec.capital.values
     d = len(c)
     m = c.index(min(c))
@@ -150,7 +150,7 @@ def wakalah_system(
     manager's rated payoff, and the gammas sum to 1.
     """
     spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, ratings, capital, terms)
-    profile = RiskProfile.from_expectations(e_profit, e_loss)
+    profile = RiskProfile(e_profit, e_loss)
     c, kappa = spec.ratings.values, spec.capital.values
     d = len(c)
     pv = annuity_pv(terms)
@@ -206,7 +206,7 @@ def verify_allocation(
     simplex defect, and passes iff both are within ``tol`` (the spread
     relative to max(ratings) * e_profit). A ratio or payment that is not
     finite, or a spread or sum beyond the float range, is reported as an
-    infinite residual and fails.
+    infinite residual and never passes, whatever ``tol``.
     """
     c, kappa, terms = spec.ratings.values, spec.kappa_eff, spec.wakalah
     gammas = alloc.gammas
@@ -223,8 +223,9 @@ def verify_allocation(
     rated = [ci * pay for ci, pay in zip(c, pays)]
     max_residual = max(rated) - min(rated) if all(map(math.isfinite, rated)) else math.inf
     simplex_residual = _simplex_defect(gammas)
-    scale = max(c) * profile.e_profit
-    passed = max_residual <= tol * scale and simplex_residual <= tol
+    # max(c) * e_profit can overflow, so the spread is divided by max(c) instead.
+    fair = math.isfinite(max_residual) and max_residual / max(c) <= tol * profile.e_profit
+    passed = fair and simplex_residual <= tol
     return VerificationReport(
         max_fairness_residual=max_residual,
         simplex_residual=simplex_residual,

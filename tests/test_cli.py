@@ -117,6 +117,28 @@ class TestRiskCommand:
         spaced = run(capsys, ["risk", "--model", "gbm", "--mu", value, *flags])
         assert spaced == attached and attached[0] == 2
 
+    @pytest.mark.parametrize(
+        "value, shown", [("-inf", "-inf"), ("-Infinity", "-inf"), ("-INF", "-inf"), ("-nan", "nan")]
+    )
+    def test_negative_infinity_and_nan_are_flag_values(self, capsys, value, shown):
+        flags = ["--sigma", "0.2", "--T", "1", "--L", "100"]
+        attached = run(capsys, ["risk", "--model", "gbm", f"--mu={value}", *flags])
+        spaced = run(capsys, ["risk", "--model", "gbm", "--mu", value, *flags])
+        assert spaced == attached == (1, "", f"error: drift must be finite, got {shown}\n")
+
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            (["--model", "two-point", "--beta", "0.5", "--r-plus", "10", "--r-minus", "-10", "--L=-5"], "-5.0"),
+            (["--model", "empirical", "--data", "d.txt", "--L", "0"], "0.0"),
+        ],
+    )
+    def test_capital_must_be_positive_for_every_model(self, capsys, tmp_path, monkeypatch, flags, shown):
+        (tmp_path / "d.txt").write_text("120\n90\n")
+        monkeypatch.chdir(tmp_path)
+        got = run(capsys, ["risk", *flags])
+        assert got == (1, "", f"error: capital must be positive, got {shown}\n")
+
     def test_missing_model_flag_is_an_input_error(self, capsys):
         code, _, err = run(capsys, ["risk", "--model", "gbm", "--mu", "0.1", "--L", "100"])
         assert code == 1
@@ -821,6 +843,12 @@ class TestVerifyCommand:
             (["allocate", "--tol", "inf"], 1, f"{TOL_RULE}, got 'inf'"),
             (["verify", "--gammas", "0.7,0.3", "--tol=-1e-9"], 1, f"{TOL_RULE}, got '-1e-9'"),
             (["verify", "--gammas", "0.7,0.3", "--tol", "-1e-9"], 1, f"{TOL_RULE}, got '-1e-9'"),
+            (["verify", "--gammas", "0.7,0.3", "--tol=-inf"], 1, f"{TOL_RULE}, got '-inf'"),
+            (["verify", "--gammas", "0.7,0.3", "--tol", "-inf"], 1, f"{TOL_RULE}, got '-inf'"),
+            (["verify", "--gammas", "0.7,0.3", "--tol=-NaN"], 1, f"{TOL_RULE}, got '-NaN'"),
+            (["verify", "--gammas", "0.7,0.3", "--tol", "-NaN"], 1, f"{TOL_RULE}, got '-NaN'"),
+            (["verify", "--gammas", "0.5,0.5", "--p=-Infinity"], 1, f"{P_RULE}, got '-Infinity'"),
+            (["verify", "--gammas", "0.5,0.5", "--p", "-Infinity"], 1, f"{P_RULE}, got '-Infinity'"),
         ],
     )
     def test_numeric_flags_end_in_a_documented_exit(self, capsys, tmp_path, argv, code, message):
@@ -861,6 +889,21 @@ class TestVerifyCommand:
         _, out, _ = run(capsys, ["allocate", contract, "--json"])
         payload = strict_json(out)
         assert payload["residual"] is None and payload["verification"]["max_fairness_residual"] is None
+
+    @pytest.mark.parametrize("delta, unfair, allocate_code", [(1e308, "0.1,0.9", 3), (1.5e8, "0.3,0.7", 0)])
+    def test_verdict_holds_where_the_tolerance_scale_overflows(
+        self, capsys, tmp_path, delta, unfair, allocate_code
+    ):
+        # max(ratings) * e_profit overflows on both contracts; on the first every rated payoff does too.
+        contract = write_contract(
+            tmp_path,
+            {"schema": 1, "variant": "cfair_mudharabah", "ratings": [1e300, 1e300],
+             "model": {"kind": "fixed_rho", "rho": 0.25, "delta": delta}},
+        )
+        code, out, err = run(capsys, ["verify", contract, "--gammas", unfair])
+        assert code == 3 and err == "" and out.endswith("-> FAIL\n")
+        code, out, err = run(capsys, ["allocate", contract])
+        assert code == allocate_code and err == ""
 
     def test_json_report(self, capsys, tmp_path):
         contract = write_contract(tmp_path, self.EQUAL_KAPPA)

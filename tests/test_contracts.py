@@ -77,29 +77,45 @@ class TestCapitalShares:
 
 
 class TestRiskProfile:
-    def test_from_expectations_derives_identities(self):
-        p = RiskProfile.from_expectations(12.0, 4.0)
+    def test_expectations_derive_identities(self):
+        p = RiskProfile(12.0, 4.0)
         assert p.rho == pytest.approx(1 / 3, abs=1e-15)
         assert p.delta == 8.0
         assert p.viable()
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ContractError):
-            RiskProfile(e_profit=10.0, e_loss=5.0, rho=0.4, delta=5.0)
-        with pytest.raises(ContractError):
-            RiskProfile(e_profit=10.0, e_loss=5.0, rho=0.5, delta=4.0)
+            RiskProfile(10.0, 5.0, delta=4.0)
+
+    def test_rho_is_derived_and_delta_is_keyword_only(self):
+        # a stored rho could disagree with e_loss / e_profit; a positional
+        # third argument would be read as delta
+        with pytest.raises(TypeError):
+            RiskProfile(10.0, 5.0, rho=0.5)
+        with pytest.raises(TypeError):
+            RiskProfile(10.0, 5.0, 5.0)
+        with pytest.raises(AttributeError):
+            RiskProfile(10.0, 5.0).rho = 0.25
+
+    def test_nan_delta_is_inconsistent(self):
+        with pytest.raises(ContractError, match="delta is inconsistent"):
+            RiskProfile(10.0, 5.0, delta=math.nan)
+
+    def test_overflowing_ratio_rejected(self):
+        with pytest.raises(ContractError, match="overflows"):
+            RiskProfile(1e-310, 1e10)
 
     def test_zero_profit_rejected(self):
         with pytest.raises(ContractError):
-            RiskProfile.from_expectations(0.0, 1.0)
+            RiskProfile(0.0, 1.0)
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ContractError):
-            RiskProfile.from_expectations(1.0, -0.5)
+            RiskProfile(1.0, -0.5)
 
     def test_viability_boundary(self):
-        assert RiskProfile.from_expectations(1.0, 1.0).viable()
-        assert not RiskProfile.from_expectations(1.0, 1.5).viable()
+        assert RiskProfile(1.0, 1.0).viable()
+        assert not RiskProfile(1.0, 1.5).viable()
 
     def test_from_rho_scalings(self):
         unit = RiskProfile.from_rho(0.25)

@@ -169,7 +169,7 @@ class TestCfairMudharabah:
         assert alloc.gammas == pytest.approx(fair_mudharabah(rho), abs=1e-15)
 
     def test_payoffs_split_delta_by_weights(self):
-        profile = RiskProfile.from_expectations(12.0, 3.0)  # rho 1/4, delta 9
+        profile = RiskProfile(12.0, 3.0)  # rho 1/4, delta 9
         alloc = cfair_mudharabah((2, 3), profile)
         assert alloc.payoffs == pytest.approx((3 / 5 * 9.0, 2 / 5 * 9.0), rel=1e-12)
 
@@ -179,7 +179,7 @@ class TestCfairMudharabah:
 
     def test_rejects_non_viable_profile(self):
         with pytest.raises(NonViableError):
-            cfair_mudharabah((2, 3), RiskProfile.from_expectations(1.0, 1.5))
+            cfair_mudharabah((2, 3), RiskProfile(1.0, 1.5))
 
 
 # Exact fractions for the four-partner cases, from the rational oracle.
@@ -423,7 +423,7 @@ class TestWakalah:
 
     def test_present_value_payoffs(self):
         terms = WakalahTerms(0.05, 2.0, 4)
-        profile = RiskProfile.from_expectations(10.0, 5.0)
+        profile = RiskProfile(10.0, 5.0)
         alloc = cfair_musharakah_wakalah((1, 2, 3), (0.4, 0.6), profile, terms)
         w = sharing_weights((1, 2, 3))
         discount = 1.05 ** -2.0
@@ -557,7 +557,7 @@ def test_rating_scale_invariance(case, t):
 @settings(max_examples=200)
 def test_payoff_proportionality_and_conservation(case, e_profit):
     ratings, kappa, rho = case
-    profile = RiskProfile.from_expectations(e_profit, rho * e_profit)
+    profile = RiskProfile(e_profit, rho * e_profit)
     alloc = cfair_musharakah(ratings, kappa, profile)
     w = sharing_weights(ratings)
     # recomputing each payoff from its definition returns the weighted profit

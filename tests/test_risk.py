@@ -23,6 +23,7 @@ from plsfair import (
     EmpiricalSample,
     GbmParams,
     McConfig,
+    RiskProfile,
     TwoPointScenario,
     empirical_profile,
     gbm_closed_form,
@@ -242,6 +243,39 @@ class TestGbmClosedForm:
         assert abs(mc.delta - closed.delta) <= 3.0 * mc.se_delta
 
 
+@pytest.mark.parametrize("L", [0.0, -5.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda L: GbmParams(0.1, 0.2, 1.0, L),
+        lambda L: TwoPointScenario(0.5, 10.0, -10.0, L),
+        lambda L: EmpiricalSample((120.0, 90.0), L),
+    ],
+    ids=["gbm", "two_point", "empirical"],
+)
+def test_every_model_holds_the_capital_to_one_rule(model, L):
+    with pytest.raises(ContractError, match=f"^capital must be positive, got {L}$"):
+        model(L)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gbm_closed_form(GBM_EXAMPLE),
+        lambda: gbm_closed_form(GbmParams(-0.051, 4.9e-5, 0.001, 100.0)),
+        lambda: two_point_profile(TwoPointScenario(0.6, 120.0, 90.0, 100.0)),
+        lambda: empirical_profile(EmpiricalSample((120.0, 90.0, 97.5, 131.0), 100.0)),
+        lambda: monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=5000, seed=3)),
+        lambda: RiskProfile.from_rho(0.1, delta=8.0),
+    ],
+    ids=["gbm", "gbm_far_call", "two_point", "empirical", "monte_carlo", "from_rho"],
+)
+def test_rho_is_the_ratio_of_the_stored_expectations(build):
+    p = build()
+    assert p.rho == p.e_loss / p.e_profit
+    assert "rho" not in vars(p)
+
+
 class TestTwoPointProfile:
     def test_worked_example(self):
         profile = two_point_profile(TwoPointScenario(0.6, 120.0, 90.0, 100.0))
@@ -321,7 +355,7 @@ class TestEmpiricalProfile:
 
     def test_overflowing_payoffs_are_an_error(self):
         with pytest.raises(ContractError, match="not a finite number"):
-            empirical_profile(EmpiricalSample((1e308, 0.0), -1e308))
+            empirical_profile(EmpiricalSample((1.7e308, 1.7e308), 1.0))
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ContractError):

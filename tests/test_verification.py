@@ -219,7 +219,7 @@ class TestWakalahSystem:
 
 class TestVerifyAllocation:
     def test_closed_form_passes(self):
-        profile = RiskProfile.from_expectations(10.0, 2.5)
+        profile = RiskProfile(10.0, 2.5)
         spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, (1, 2, 1, 4), (0.25,) * 4)
         alloc = cfair_musharakah((1, 2, 1, 4), (0.25,) * 4, profile)
         report = verify_allocation(alloc, spec, profile, tol=1e-9)
@@ -227,14 +227,14 @@ class TestVerifyAllocation:
         assert report.max_fairness_residual <= 1e-12 * 4 * 10.0
 
     def test_external_mudharib_capital_is_extended(self):
-        profile = RiskProfile.from_expectations(10.0, 5.0)
+        profile = RiskProfile(10.0, 5.0)
         spec = ContractSpec(Variant.MUSHARAKAH_EXTERNAL_MUDHARIB, (3, 3, 3, 2), (1 / 3,) * 3)
         alloc = cfair_musharakah_external_mudharib((3, 3, 3, 2), (1 / 3,) * 3, profile)
         report = verify_allocation(alloc, spec, profile)
         assert report.passed
 
     def test_wakalah_allocation_passes(self):
-        profile = RiskProfile.from_expectations(10.0, 5.0)
+        profile = RiskProfile(10.0, 5.0)
         terms = WakalahTerms(0.05, 2.0, 4)
         spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (1.0, 0.0), terms)
         alloc = cfair_musharakah_wakalah((1, 1, 1), (1.0, 0.0), profile, terms)
@@ -242,7 +242,7 @@ class TestVerifyAllocation:
         assert report.passed
 
     def test_perturbed_ratio_fails_with_linear_sensitivity(self):
-        profile = RiskProfile.from_expectations(10.0, 2.5)
+        profile = RiskProfile(10.0, 2.5)
         spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, (1, 2, 1, 4), (0.25,) * 4)
         alloc = cfair_musharakah(spec.ratings, spec.capital, profile)
         bumped = Allocation(
@@ -269,14 +269,14 @@ class TestVerifyAllocation:
         assert not verify_allocation(swapped, spec, profile, tol=1e-9).passed
 
     def test_wakalah_needs_payment(self):
-        profile = RiskProfile.from_expectations(10.0, 5.0)
+        profile = RiskProfile(10.0, 5.0)
         spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (1.0, 0.0), WakalahTerms(0.0, 1.0, 4))
         candidate = Allocation(gammas=(0.75, 0.25), payoffs=())
         with pytest.raises(ContractError, match="needs the periodic payment"):
             verify_allocation(candidate, spec, profile)
 
     def test_dimension_mismatch(self):
-        profile = RiskProfile.from_expectations(10.0, 5.0)
+        profile = RiskProfile(10.0, 5.0)
         spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, (1, 1, 1), (0.25, 0.25, 0.5))
         candidate = Allocation(gammas=(0.5, 0.5), payoffs=())
         with pytest.raises(ContractError, match="expected 3 ratios for this contract, got 2"):
@@ -284,7 +284,7 @@ class TestVerifyAllocation:
 
     def test_discount_underflow_is_named(self):
         # (1.05)^-1e6 is 0: every payoff vanishes and a zero residual would pass vacuously
-        profile = RiskProfile.from_expectations(10.0, 5.0)
+        profile = RiskProfile(10.0, 5.0)
         spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 1, 1), (1.0, 0.0), WakalahTerms(0.05, 1e6, 4))
         candidate = Allocation(gammas=(0.75, 0.25), payoffs=(), periodic_payment=0.0)
         with pytest.raises(ContractError, match="discount .* underflows"):
@@ -302,7 +302,7 @@ class TestVerifyAllocation:
         ],
     )
     def test_non_finite_candidates_fail_with_an_infinite_residual(self, gammas, p):
-        profile = RiskProfile.from_expectations(10.0, 5.0)
+        profile = RiskProfile(10.0, 5.0)
         if p is None:
             spec = ContractSpec(Variant.CFAIR_MUDHARABAH, (2, 3))
         else:
@@ -311,6 +311,15 @@ class TestVerifyAllocation:
         assert not report.passed
         assert math.inf in (report.max_fairness_residual, report.simplex_residual)
         assert not any(map(math.isnan, (report.max_fairness_residual, report.simplex_residual)))
+
+    def test_infinite_residual_fails_at_any_tolerance(self):
+        # Every rated payoff overflows, and so does the old bound tol * max(ratings) * e_profit.
+        spec = ContractSpec(Variant.CFAIR_MUDHARABAH, (1e300, 1e300))
+        profile = RiskProfile.from_rho(0.25, delta=1e308)
+        candidate = Allocation(gammas=(0.1, 0.9), payoffs=())
+        for tol in (1e-9, math.inf):
+            report = verify_allocation(candidate, spec, profile, tol=tol)
+            assert report.max_fairness_residual == math.inf and not report.passed
 
     def test_allocation_is_built_by_keyword_only(self):
         # a positional third argument would otherwise be taken as the periodic payment
