@@ -26,7 +26,6 @@ from .ratios import (
     AllocationPlan,
     DominanceRegime,
     DominanceReport,
-    WeightVector,
     allocate,
     annuity_pv,
     cfair_mudharabah,
@@ -83,7 +82,6 @@ __all__ = [
     "Variant",
     "VerificationReport",
     "WakalahTerms",
-    "WeightVector",
     "allocate",
     "annuity_pv",
     "cfair_mudharabah",

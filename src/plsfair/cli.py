@@ -51,6 +51,7 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
+    _read_text,
 )
 from .ratios import AllocationPlan, allocate
 from .risk import (
@@ -132,13 +133,10 @@ def contract_from_dict(doc: Any) -> ContractSpec:
 
 def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float | None]:
     """Read a contract file; returns (spec, model section, capital amount)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ContractError(f"cannot read contract file: {exc}") from exc
+    text = _read_text(path, "contract")
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError, a non-JSON constant, or an integer too long
+    except (ValueError, RecursionError) as exc:  # bad JSON, a non-JSON constant, a long integer, deep nesting
         raise ContractError(f"{path}: not valid JSON: {exc}") from exc
     spec = contract_from_dict(doc)
     model = doc.get("model") if isinstance(doc, dict) else None
@@ -395,18 +393,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if steps < 2:
         raise ContractError(f"need --steps >= 2, got {steps}")
     plan = AllocationPlan.for_contract(spec)
+    # Row sums are (1 - rho) sum(w_eff) + rho sum(kappa_eff), so these two sums bound every row.
+    if abs(math.fsum(plan.w_eff) - 1.0) > 1e-9 or abs(math.fsum(plan.kappa_eff) - 1.0) > 1e-9:
+        raise ContractError("the contract's sharing plan violates the ratio simplex")
     pairs = tuple(zip(plan.w_eff, plan.kappa_eff))
     # One %-format per row; "%.12g" % x and f"{x:.12g}" print the same digits.
     row_format = ",".join([f"%.{CSV_DIGITS}g"] * (len(pairs) + 1))
     lines = ["rho," + ",".join(f"gamma_{j + 1}" for j in range(len(pairs)))]
-    fsum = math.fsum
     for i in range(steps):
         # The grid stays within [lo, hi] <= 1, so every row is a viable risk.
         rho = lo + (hi - lo) * i / (steps - 1)
         labour = 1.0 - rho
         gammas = [w * labour + k * rho for w, k in pairs]  # AllocationPlan.gammas, inlined
-        if abs(fsum(gammas) - 1.0) > 1e-9:
-            raise ContractError(f"row at rho={rho} violates the ratio simplex")
         lines.append(row_format % (rho, *gammas))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
@@ -415,7 +413,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ContractError(f"cannot write sweep output: {exc}") from exc
     return 0
 
@@ -423,7 +421,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec, profile = _contract_and_profile(args, "verification")
     if not profile.viable():
-        raise NonViableError(f"investment risk {profile.rho} exceeds 1")
+        raise NonViableError(f"investment risk {profile.rho} exceeds 1: expected loss beats expected profit")
     try:
         gammas = tuple(float(tok) for tok in args.gammas.split(","))
     except ValueError:

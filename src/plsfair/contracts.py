@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import KW_ONLY, dataclass
 from enum import Enum
+from os import PathLike
+from pathlib import Path
 from typing import Iterator, Sequence, Union
 
 #: Absolute tolerance on simplex constraints (capital shares, profit ratios).
@@ -125,10 +127,18 @@ class CapitalShares(FloatVector):
 
 
 #: Capital split of a plain mudharabah: the funding partner brings everything.
-MUDHARABAH_CAPITAL = (1.0, 0.0)
+MUDHARABAH_CAPITAL = CapitalShares((1.0, 0.0))
 
 Ratings = Union[RatingVector, Sequence[float]]
 Capital = Union[CapitalShares, Sequence[float]]
+
+
+def _read_text(path: Union[str, PathLike], what: str) -> str:
+    """A UTF-8 text file's contents; any failure to read it is a :class:`ContractError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError or a NUL byte in the path is a ValueError
+        raise ContractError(f"cannot read {what} file: {exc}") from exc
 
 
 def as_ratings(ratings: Ratings) -> RatingVector:
@@ -287,11 +297,11 @@ class ContractSpec:
         if variant in MUDHARABAH_VARIANTS:
             if d != 2:
                 raise ContractError(f"{variant.value} needs exactly 2 partners, got {d}")
-            kappa = capital.values
-            if len(kappa) != 2 or abs(kappa[0] - 1.0) > SIMPLEX_TOL or abs(kappa[1]) > SIMPLEX_TOL:
+            if len(capital) != 2 or abs(capital[0] - 1.0) > SIMPLEX_TOL or abs(capital[1]) > SIMPLEX_TOL:
                 raise ContractError(
                     f"{variant.value} requires capital (1, 0): the funder brings all capital"
                 )
+            object.__setattr__(self, "capital", MUDHARABAH_CAPITAL)  # exactly (1, 0) from here on
             if variant is Variant.FAIR_MUDHARABAH and ratings[0] != ratings[1]:
                 raise ContractError(
                     "fair mudharabah rates both partners equally; use cfair_mudharabah for unequal ratings"
@@ -320,10 +330,8 @@ class ContractSpec:
 
     @property
     def kappa_eff(self) -> tuple[float, ...]:
-        """The capital share behind each profit ratio: exactly (1, 0) for mudharabah,
-        and a trailing 0 for an external mudharib, who funds nothing."""
-        if self.variant in MUDHARABAH_VARIANTS:
-            return MUDHARABAH_CAPITAL
+        """The capital share behind each profit ratio: the capital (exactly (1, 0) for
+        mudharabah), with a trailing 0 for an external mudharib, who funds nothing."""
         if self.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
             return self.capital.values + (0.0,)
         return self.capital.values

@@ -11,6 +11,8 @@ funding reward proportional to the investment risk rho. The weights are the
 normalized products of all ratings except the partner's own, or equally the
 normalized reciprocal ratings, weight_l = (1/c_l) / sum_j (1/c_j), so a
 smaller rating buys a larger share of the expected investment profit.
+:func:`sharing_weights` returns them as a plain tuple; its one error is a
+weight that underflows to zero.
 
 The variants differ only in their effective vectors (w_eff, kappa_eff).
 A :class:`~plsfair.contracts.ContractSpec` validates a contract's shape;
@@ -33,12 +35,10 @@ from typing import Union
 
 from .contracts import (
     LOG_FLOAT_MAX,
-    SIMPLEX_TOL,
     Allocation,
     Capital,
     ContractError,
     ContractSpec,
-    FloatVector,
     NonViableError,
     Ratings,
     RiskProfile,
@@ -49,20 +49,6 @@ from .contracts import (
 from .risk import TwoPointScenario, two_point_profile
 
 RiskLike = Union[RiskProfile, float]
-
-
-@dataclass(frozen=True)
-class WeightVector(FloatVector):
-    """Normalized profit-sharing weights; positive and summing to 1."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for i, v in enumerate(self.values):
-            if not math.isfinite(v) or v <= 0.0:
-                raise ContractError(f"weight {i + 1} must be positive, got {v}")
-        total = math.fsum(self.values)
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ContractError(f"weights must sum to 1, got {total!r}")
 
 
 class DominanceRegime(str, Enum):
@@ -90,22 +76,25 @@ def _as_profile(risk: RiskLike) -> RiskProfile:
     return profile
 
 
-def sharing_weights(ratings: Ratings) -> WeightVector:
+def sharing_weights(ratings: Ratings) -> tuple[float, ...]:
     """Weights with which the partners split the expected investment profit.
 
     Weight l is the product of every rating except partner l's, normalized:
     prod_{i != l} c_i / sum_j prod_{i != j} c_i = (1/c_l) / sum_j (1/c_j).
     It is formed as u_l = min(c) / c_l in (0, 1] over fsum(u), three
-    roundings (about 4.4e-16 relative) that cannot overflow; a rating spread
-    beyond the float range underflows to a zero weight, which
-    :class:`WeightVector` rejects. The smaller a partner's rating, the
-    larger their weight.
+    roundings (about 4.4e-16 relative) that cannot overflow, so the plain
+    tuple returned sums to 1 within d ulp. The one error: a rating spread
+    beyond the float range underflows to a zero weight, which is rejected.
+    The smaller a partner's rating, the larger their weight.
     """
     c = as_ratings(ratings).values
     smallest = min(c)
     u = [smallest / ci for ci in c]
     norm = math.fsum(u)
-    return WeightVector(tuple(ul / norm for ul in u))
+    w = tuple(ul / norm for ul in u)
+    if 0.0 in w:
+        raise ContractError(f"weight {w.index(0.0) + 1} must be positive, got 0.0")
+    return w
 
 
 def annuity_pv(terms: WakalahTerms) -> float:
@@ -175,7 +164,7 @@ class AllocationPlan:
     def for_contract(cls, spec: ContractSpec) -> AllocationPlan:
         """Plan a contract spec of any variant."""
         kappa, terms = spec.kappa_eff, spec.wakalah
-        w = sharing_weights(spec.ratings).values
+        w = sharing_weights(spec.ratings)
         if terms is not None:  # the manager's weight goes to the funders, who hold every ratio
             return cls(w, tuple(w[-1] / len(kappa) + wi for wi in w[:-1]), kappa, terms)
         return cls(w, w, kappa)

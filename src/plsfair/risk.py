@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 from os import PathLike
-from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile
+from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _read_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -332,11 +331,7 @@ def load_empirical_draws(path: Union[str, PathLike]) -> list[float]:
     floats, which ``EmpiricalSample`` turns into its array; an error names
     the first line ``float()`` rejects.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ContractError(f"cannot read draws file: {exc}") from exc
-    lines = text.splitlines()
+    lines = _read_text(path, "draws").splitlines()
     start = 1 if lines and lines[0].strip() == "R_T" else 0
     try:
         draws = list(map(float, filter(None, map(str.strip, islice(lines, start, None)))))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,22 @@ class TestRiskCommand:
         code, _, err = run(capsys, ["risk", "--model", "gbm", "--mu", "0.1", "--L", "100"])
         assert code == 1
         assert "sigma" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1"], "--model gbm needs --L (the capital)"),
+            (["--model", "empirical", "--L", "100"], "--model empirical needs --data FILE"),
+        ],
+    )
+    def test_missing_input_flags_are_named(self, capsys, flags, message):
+        assert run(capsys, ["risk", *flags]) == (1, "", f"error: {message}\n")
+
+    def test_fixed_rho_with_delta_sets_the_scale(self, capsys):
+        code, out, err = run(capsys, ["risk", "--model", "fixed-rho", "--rho", "0.3", "--delta", "7", "--json"])
+        assert code == 0 and err == ""
+        payload = strict_json(out)
+        assert (payload["e_profit"], payload["e_loss"], payload["delta"]) == pytest.approx((10.0, 3.0, 7.0))
 
     def test_unknown_flag_is_an_input_error(self, capsys):
         code, _, _ = run(capsys, ["risk", "--model", "gbm", "--bogus", "1"])
@@ -508,6 +525,7 @@ class TestAllocateCommand:
             {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3]},
             {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
              "model": {"kind": "gbm", "mu": 0.1, "sigma": 0.2, "T": 1}},
+            {"schema": 1, "ratings": [2, 3], "model": {"kind": "fixed_rho", "rho": 0.25}},
         ],
     )
     def test_input_errors_exit_1(self, capsys, tmp_path, doc):
@@ -527,6 +545,12 @@ class TestAllocateCommand:
             ({"wakalah": {"r": False, "T": 1, "k": 4}}, "wakalah 'r' must be a number, got False"),
             ({"wakalah": {"r": 0, "T": "1e0", "k": 4}}, "wakalah 'T' must be a number, got '1e0'"),
             ({"schema": True}, "unsupported schema True; this tool reads schema 1"),
+            ({"capital_amount": 10**400}, f"field 'capital_amount' is out of the float range, got {10**400!r}"),
+            ({"capital": 0.5}, "'capital' must be an array of fractions"),
+            ({"wakalah": [0, 1, 4]}, "'wakalah' must be an object with keys r, T, k"),
+            ({"model": "gbm"}, "'model' must be an object with a 'kind' key"),
+            ({"model": {"kind": "gbm", "mu": 0.1, "T": 1}, "capital_amount": 100}, "missing numeric field 'sigma'"),
+            ({"model": {"kind": "empirical"}, "capital_amount": 100}, "empirical model needs a 'path' to the draws file"),
         ],
     )
     def test_contract_numbers_are_json_numbers(self, capsys, tmp_path, change, message):
@@ -905,6 +929,16 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["allocate", contract])
         assert code == allocate_code and err == ""
 
+    @pytest.mark.parametrize("argv", [["verify", "--gammas", "0.5,0.5"], ["allocate"]])
+    def test_non_viable_model_exits_2_with_one_message(self, capsys, tmp_path, argv):
+        contract = write_contract(
+            tmp_path,
+            {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+             "model": {"kind": "fixed_rho", "rho": 1.5}},
+        )
+        got = run(capsys, [argv[0], contract, *argv[1:]])
+        assert got == (2, "", "error: not viable: investment risk 1.5 exceeds 1: expected loss beats expected profit\n")
+
     def test_json_report(self, capsys, tmp_path):
         contract = write_contract(tmp_path, self.EQUAL_KAPPA)
         code, out, _ = run(
@@ -926,6 +960,64 @@ class TestTopLevel:
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, ["--help"])
         assert code == 0
+
+
+class TestUnreadableInputs:
+    """A path or document that cannot be read ends in exit 1 and one error line."""
+
+    DEEP = "[" * 1000 + "]" * 1000  # nested past the parser's recursion limit
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["allocate", "a\0b"], "cannot read contract file: embedded null byte"),
+            (["allocate", "nul-draws.json"], "cannot read draws file: embedded null byte"),
+            (["risk", "--model", "empirical", "--data", "a\0b", "--L", "1"], "cannot read draws file: embedded null byte"),
+            (["sweep", "contract.json", "-o", "a\0b"], "cannot write sweep output: embedded null byte"),
+            (["allocate", "deep.json"], "deep.json: not valid JSON: maximum recursion depth exceeded"),
+            (["sweep", "deep-ratings.json"], "deep-ratings.json: not valid JSON: maximum recursion depth exceeded"),
+        ],
+    )
+    def test_one_error_line(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        write_contract(
+            tmp_path, {**FIGURE_SWEEP_CONTRACT, "capital_amount": 100.0,
+                       "model": {"kind": "empirical", "path": "a\0b"}}, "nul-draws.json",
+        )
+        (tmp_path / "deep.json").write_text(self.DEEP, encoding="utf-8")
+        (tmp_path / "deep-ratings.json").write_text(
+            '{"schema": 1, "variant": "cfair_mudharabah", "ratings": %s}' % self.DEEP, encoding="utf-8"
+        )
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and not (tmp_path / "a").exists()
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+class TestConsoleEntryPoint:
+    def test_module_run_ends_in_each_exit_code(self, tmp_path):
+        contract = {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3]}
+        viable = write_contract(tmp_path, {**contract, "model": {"kind": "fixed_rho", "rho": 0.25}})
+        non_viable = write_contract(tmp_path, {**contract, "model": {"kind": "fixed_rho", "rho": 1.5}}, "nv.json")
+        deep = tmp_path / "deep.json"
+        deep.write_text(TestUnreadableInputs.DEEP, encoding="utf-8")
+        commands = [
+            (["risk", "--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1", "--L", "100"], 0),
+            (["allocate", str(deep)], 1),
+            (["verify", non_viable, "--gammas", "0.5,0.5"], 2),
+            (["verify", viable, "--gammas", "0.9,0.1"], 3),
+        ]
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, code in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "plsfair.cli", *argv],
+                capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+            )
+            assert done.returncode == code, (argv, done.stderr)
+            assert "Traceback" not in done.stderr
+            if code in (1, 2):
+                assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 #: Runs one command as the first ``main`` call of a fresh interpreter.

@@ -60,7 +60,7 @@ class TestCapitalShares:
 
     @pytest.mark.parametrize(
         "values",
-        [(), (0.5, 0.6), (0.5, 0.4), (-0.1, 1.1), (0.5, 0.5, 0.1), (1.2, -0.2)],
+        [(), (0.5, 0.6), (0.5, 0.4), (-0.1, 1.1), (0.5, 0.5, 0.1), (1.2, -0.2), (1 / 65,) * 65],
     )
     def test_rejects_off_simplex(self, values):
         with pytest.raises(ContractError):
@@ -269,6 +269,12 @@ class TestContractSpec:
         assert spec.kappa_eff == kappa_eff
         ratio_count = len(ratings) - 1 if variant is Variant.MUSHARAKAH_WAKALAH else len(ratings)
         assert len(spec.kappa_eff) == ratio_count
+
+    @pytest.mark.parametrize("variant", [Variant.FAIR_MUDHARABAH, Variant.CFAIR_MUDHARABAH])
+    @pytest.mark.parametrize("capital", [(1 - 1e-13, 1e-13), (1.0, 1e-13), (1.0, 0.0), None])
+    def test_mudharabah_capital_is_stored_as_exactly_one_and_zero(self, variant, capital):
+        spec = ContractSpec(variant, (2, 2), capital)
+        assert spec.capital.values == spec.kappa_eff == (1.0, 0.0)
 
     @pytest.mark.parametrize("capital", [(1.0,), (1.0, 0.0, 0.0)])
     def test_mudharabah_capital_of_the_wrong_length(self, capital):

@@ -70,20 +70,20 @@ class TestSharingWeights:
     )
     def test_worked_examples(self, ratings, expected):
         w = sharing_weights(ratings)
-        assert w.values == pytest.approx(expected, abs=1e-15)
+        assert w == pytest.approx(expected, abs=1e-15)
 
     @given(ratings_strategy, finite_floats(0.001, 1000.0))
     def test_scale_invariance(self, ratings, t):
         base = sharing_weights(ratings)
         scaled = sharing_weights(tuple(t * c for c in ratings))
-        assert scaled.values == pytest.approx(base.values, abs=1e-12)
+        assert scaled == pytest.approx(base, abs=1e-12)
 
     @given(ratings_strategy)
     def test_simplex_and_order_reversal(self, ratings):
         w = sharing_weights(ratings)
-        assert math.fsum(w.values) == pytest.approx(1.0, abs=1e-12)
-        for (ci, wi) in zip(ratings, w.values):
-            for (cj, wj) in zip(ratings, w.values):
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+        for (ci, wi) in zip(ratings, w):
+            for (cj, wj) in zip(ratings, w):
                 if ci < cj:
                     assert wi >= wj
 
@@ -91,7 +91,7 @@ class TestSharingWeights:
     def test_17_to_30_small_integer_ratings_match_exact_rationals(self, ratings):
         w = sharing_weights(ratings)
         exact = [float(x) for x in weights_oracle(ratings)]
-        assert w.values == pytest.approx(exact, abs=1e-13)
+        assert w == pytest.approx(exact, abs=1e-13)
 
     def test_ratings_170_decades_apart_match_the_oracle(self):
         # every direct leave-one-out product underflows to 0 here
@@ -103,14 +103,14 @@ class TestSharingWeights:
     def test_ratings_292_decades_apart_match_exact_rationals(self):
         ratings = (1e300, 1e8, 1e8)
         exact = [float(x) for x in weights_oracle(ratings)]
-        assert sharing_weights(ratings).values == pytest.approx(exact, rel=1e-12)
+        assert sharing_weights(ratings) == pytest.approx(exact, rel=1e-12)
 
     def test_16_and_17_partners_match_exact_rationals(self):
         ratings16 = tuple(range(1, 17))
         ratings17 = ratings16 + (5,)
         for r in (ratings16, ratings17):
             exact = [float(x) for x in weights_oracle(r)]
-            assert sharing_weights(r).values == pytest.approx(exact, abs=1e-14)
+            assert sharing_weights(r) == pytest.approx(exact, abs=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 17, 32, 64])
     def test_relative_accuracy_against_the_product_definition(self, d):
@@ -121,7 +121,7 @@ class TestSharingWeights:
         worst = 0.0
         for _ in range(25):
             ratings = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(d)]
-            for w, exact in zip(sharing_weights(ratings).values, weights_oracle(ratings)):
+            for w, exact in zip(sharing_weights(ratings), weights_oracle(ratings)):
                 worst = max(worst, float(abs(Fraction(w) - exact) / exact))
         assert worst <= 4.5e-16
 
