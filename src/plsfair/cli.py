@@ -19,7 +19,8 @@ A contract file is a JSON document::
       "capital_amount": 100.0
     }
 
-Every numeric field is a JSON number, never a string or a boolean.
+Every numeric field is a JSON number within the float range, never a
+string or a boolean.
 ``capital`` may be omitted for the mudharabah variants (it is pinned to
 (1, 0)); ``wakalah`` is required exactly for the wakalah variant. Model
 kinds: ``gbm`` (mu, sigma, T), ``two_point`` (beta, r_plus, r_minus),
@@ -53,7 +54,7 @@ from .contracts import (
     WakalahTerms,
     _read_text,
 )
-from .ratios import AllocationPlan, allocate
+from .ratios import AllocationPlan, _as_profile, allocate
 from .risk import (
     EmpiricalSample,
     GbmParams,
@@ -74,20 +75,7 @@ CSV_DIGITS = 12
 
 
 # ---------------------------------------------------------------------------
-# Contract file (de)serialization
-
-
-def contract_to_dict(spec: ContractSpec) -> dict[str, Any]:
-    """Serialize a contract to the JSON document layout (schema 1)."""
-    doc: dict[str, Any] = {
-        "schema": 1,
-        "variant": spec.variant.value,
-        "ratings": list(spec.ratings.values),
-        "capital": list(spec.capital.values),
-    }
-    if spec.wakalah is not None:
-        doc["wakalah"] = {"r": spec.wakalah.r, "T": spec.wakalah.T, "k": spec.wakalah.k}
-    return doc
+# Contract file parsing
 
 
 def contract_from_dict(doc: Any) -> ContractSpec:
@@ -135,8 +123,8 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float
     """Read a contract file; returns (spec, model section, capital amount)."""
     text = _read_text(path, "contract")
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except (ValueError, RecursionError) as exc:  # bad JSON, a non-JSON constant, a long integer, deep nesting
+        doc = json.loads(text, parse_constant=_reject_constant, parse_float=_parse_float)
+    except (ValueError, RecursionError) as exc:  # bad JSON, a non-JSON constant or number, deep nesting
         raise ContractError(f"{path}: not valid JSON: {exc}") from exc
     spec = contract_from_dict(doc)
     model = doc.get("model") if isinstance(doc, dict) else None
@@ -150,6 +138,13 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float
 
 def _reject_constant(token: str) -> None:  # Python's json reads NaN, Infinity and -Infinity
     raise ContractError(f"{token} is not a JSON number")
+
+
+def _parse_float(token: str) -> float:  # float() reads a literal such as 1e400 as inf
+    value = float(token)
+    if math.isinf(value):
+        raise ContractError(f"{token} is out of the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +415,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec, profile = _contract_and_profile(args, "verification")
-    if not profile.viable():
-        raise NonViableError(f"investment risk {profile.rho} exceeds 1: expected loss beats expected profit")
+    _as_profile(profile)  # a non-viable profile is an error before the candidate is read
     try:
         gammas = tuple(float(tok) for tok in args.gammas.split(","))
     except ValueError:
@@ -460,6 +454,18 @@ def _u64(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"seed must be an unsigned 64-bit integer, got {text!r}"
         )
+    return value
+
+
+def _float(text: str) -> float:
+    # float() reads a literal beyond the float range, such as 1e400, as inf; only
+    # the inf and infinity tokens may give one.
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+        raise argparse.ArgumentTypeError(f"out of the float range, got {text!r}")
     return value
 
 
@@ -521,16 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk.add_argument(
         "--model", required=True, choices=["gbm", "two-point", "empirical", "fixed-rho"]
     )
-    p_risk.add_argument("--mu", type=float, help="drift per period (gbm)")
-    p_risk.add_argument("--sigma", type=float, help="volatility per sqrt-period (gbm)")
-    p_risk.add_argument("--T", type=float, help="horizon in periods (gbm)")
-    p_risk.add_argument("--L", type=float, help="capital")
-    p_risk.add_argument("--beta", type=float, help="success probability (two-point)")
-    p_risk.add_argument("--r-plus", type=float, help="success revenue (two-point)")
-    p_risk.add_argument("--r-minus", type=float, help="failure revenue (two-point)")
+    p_risk.add_argument("--mu", type=_float, help="drift per period (gbm)")
+    p_risk.add_argument("--sigma", type=_float, help="volatility per sqrt-period (gbm)")
+    p_risk.add_argument("--T", type=_float, help="horizon in periods (gbm)")
+    p_risk.add_argument("--L", type=_float, help="capital")
+    p_risk.add_argument("--beta", type=_float, help="success probability (two-point)")
+    p_risk.add_argument("--r-plus", type=_float, help="success revenue (two-point)")
+    p_risk.add_argument("--r-minus", type=_float, help="failure revenue (two-point)")
     p_risk.add_argument("--data", help="draws file, one per line (empirical)")
-    p_risk.add_argument("--rho", type=float, help="investment risk (fixed-rho)")
-    p_risk.add_argument("--delta", type=float, help="expected investment profit (fixed-rho)")
+    p_risk.add_argument("--rho", type=_float, help="investment risk (fixed-rho)")
+    p_risk.add_argument("--delta", type=_float, help="expected investment profit (fixed-rho)")
     p_risk.set_defaults(func=cmd_risk)
 
     p_alloc = sub.add_parser(
@@ -541,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="CSV of ratios over an investment-risk grid")
     p_sweep.add_argument("contract", help="contract JSON file")
-    p_sweep.add_argument("--rho-from", type=float, default=0.0)
-    p_sweep.add_argument("--rho-to", type=float, default=1.0)
+    p_sweep.add_argument("--rho-from", type=_float, default=0.0)
+    p_sweep.add_argument("--rho-to", type=_float, default=1.0)
     p_sweep.add_argument("--steps", type=int, default=101)
     p_sweep.add_argument("-o", "--output", default="-", help="output CSV path ('-' = stdout)")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,9 +1,11 @@
 """Core value types for profit-and-loss sharing contracts.
 
-Every type here is an immutable frozen dataclass validated at construction,
-so instances are always internally consistent and safe to share between
-threads. Monetary quantities are plain floats in an abstract currency unit;
-maturities are abstract period counts (no calendars or day-count
+Every type here is immutable and validated at construction, so instances
+are always internally consistent and safe to share between threads. Ratings
+and capital shares are validated tuples of floats, which compare and hash
+equal to plain tuples of the same floats; the other types are frozen
+dataclasses. Monetary quantities are plain floats in an abstract currency
+unit; maturities are abstract period counts (no calendars or day-count
 conventions).
 """
 
@@ -15,7 +17,7 @@ from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from os import PathLike
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 #: Absolute tolerance on simplex constraints (capital shares, profit ratios).
 #: All arithmetic is double precision on at most a few dozen partners, so
@@ -60,70 +62,62 @@ MANAGED_VARIANTS = frozenset(
 )
 
 
-def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
+def _as_float_tuple(values: Sequence[float], cls: type = tuple) -> tuple[float, ...]:
+    """``values`` as a ``cls`` (a tuple type) of exact floats."""
     try:
-        return tuple(float(v) for v in values)
+        return tuple.__new__(cls, [float(v) for v in values])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"expected a sequence of numbers, got {values!r}") from exc
 
 
-@dataclass(frozen=True)
-class FloatVector:
-    """A frozen sequence of floats; subclasses validate ``values``."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_float_tuple(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
-
-
-@dataclass(frozen=True)
-class RatingVector(FloatVector):
-    """Per-partner rating coefficients.
+class RatingVector(tuple):
+    """Per-partner rating coefficients, as a validated tuple of floats.
 
     Each coefficient is a strictly positive dimensionless number grading how
     much that partner contributed to the success of the project. Ratings are
     only meaningful relative to each other: scaling the whole vector leaves
-    every downstream allocation unchanged.
+    every downstream allocation unchanged. A ``RatingVector`` passed in is
+    returned as it is, since it was checked when it was made.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        d = len(self.values)
+    __slots__ = ()
+
+    def __new__(cls, values: Sequence[float]) -> RatingVector:
+        if isinstance(values, cls):
+            return values
+        self = _as_float_tuple(values, cls)
+        d = len(self)
         if d < 2:
             raise ContractError(f"need at least 2 partners, got {d}")
         if d > MAX_PARTNERS:
             raise ContractError(f"at most {MAX_PARTNERS} partners supported, got {d}")
-        for i, v in enumerate(self.values):
+        for i, v in enumerate(self):
             if not math.isfinite(v) or v <= 0.0:
                 raise ContractError(f"rating {i + 1} must be a finite positive number, got {v}")
+        return self
 
 
-@dataclass(frozen=True)
-class CapitalShares(FloatVector):
-    """Per-partner fractions of the pooled capital; must lie on the simplex."""
+class CapitalShares(tuple):
+    """Per-partner fractions of the pooled capital, as a validated tuple of
+    floats on the simplex; a ``CapitalShares`` passed in is returned as it is."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.values:
+    __slots__ = ()
+
+    def __new__(cls, values: Sequence[float]) -> CapitalShares:
+        if isinstance(values, cls):
+            return values
+        self = _as_float_tuple(values, cls)
+        if not self:
             raise ContractError("capital shares cannot be empty")
-        if len(self.values) > MAX_PARTNERS:
-            raise ContractError(f"at most {MAX_PARTNERS} partners supported, got {len(self.values)}")
-        for i, v in enumerate(self.values):
+        if len(self) > MAX_PARTNERS:
+            raise ContractError(f"at most {MAX_PARTNERS} partners supported, got {len(self)}")
+        for i, v in enumerate(self):
             if not math.isfinite(v) or v < 0.0 or v > 1.0:
                 raise ContractError(f"capital share {i + 1} must lie in [0, 1], got {v}")
-        total = math.fsum(self.values)
+        total = math.fsum(self)
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ContractError(f"capital shares must sum to 1, got {total!r}")
+        return self
 
 
 #: Capital split of a plain mudharabah: the funding partner brings everything.
@@ -139,16 +133,6 @@ def _read_text(path: Union[str, PathLike], what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # a UnicodeDecodeError or a NUL byte in the path is a ValueError
         raise ContractError(f"cannot read {what} file: {exc}") from exc
-
-
-def as_ratings(ratings: Ratings) -> RatingVector:
-    """The ratings as a validated :class:`RatingVector`."""
-    return ratings if isinstance(ratings, RatingVector) else RatingVector(ratings)
-
-
-def as_capital(capital: Capital) -> CapitalShares:
-    """The capital split as validated :class:`CapitalShares`."""
-    return capital if isinstance(capital, CapitalShares) else CapitalShares(capital)
 
 
 @dataclass(frozen=True)
@@ -214,17 +198,21 @@ class RiskProfile:
             raise ContractError(f"investment risk must be a finite non-negative number, got {rho}")
         if delta is not None and e_profit is not None:
             raise ContractError("supply delta or e_profit, not both")
-        if e_profit is not None:
-            return cls(float(e_profit), rho * float(e_profit))
-        if delta is not None:
-            delta = float(delta)
+        if delta is None:
+            given = e_profit = 1.0 if e_profit is None else float(e_profit)
+        else:
+            given = delta = float(delta)
             if rho == 1.0:
                 if delta != 0.0:
                     raise ContractError("rho = 1 forces delta = 0")
                 return cls(1.0, 1.0)
-            ep = delta / (1.0 - rho)
-            return cls(ep, rho * ep)
-        return cls(1.0, rho)
+            e_profit = delta / (1.0 - rho)
+        e_loss = rho * e_profit
+        if math.isinf(e_loss) and math.isfinite(given):
+            formula = "delta / (1 - rho)" if math.isinf(e_profit) else "rho * e_profit"
+            name = "e_profit" if delta is None else "delta"
+            raise ContractError(f"{formula} is out of the float range at rho = {rho}, {name} = {given}")
+        return cls(e_profit, e_loss)
 
     def viable(self) -> bool:
         """Whether the expected profit covers the expected loss (rho <= 1)."""
@@ -284,14 +272,14 @@ class ContractSpec:
         # Every construction, dataclasses.replace included, runs these checks.
         variant = Variant(self.variant)
         object.__setattr__(self, "variant", variant)
-        ratings = as_ratings(self.ratings)
+        ratings = RatingVector(self.ratings)
         object.__setattr__(self, "ratings", ratings)
         capital = self.capital
         if capital is None and variant in MUDHARABAH_VARIANTS:
             capital = MUDHARABAH_CAPITAL
         if capital is None:
             raise ContractError("capital shares are required for this variant")
-        capital = as_capital(capital)
+        capital = CapitalShares(capital)
         object.__setattr__(self, "capital", capital)
         d = len(ratings)
         if variant in MUDHARABAH_VARIANTS:
@@ -333,8 +321,8 @@ class ContractSpec:
         """The capital share behind each profit ratio: the capital (exactly (1, 0) for
         mudharabah), with a trailing 0 for an external mudharib, who funds nothing."""
         if self.variant is Variant.MUSHARAKAH_EXTERNAL_MUDHARIB:
-            return self.capital.values + (0.0,)
-        return self.capital.values
+            return self.capital + (0.0,)
+        return self.capital
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -40,11 +40,11 @@ from .contracts import (
     ContractError,
     ContractSpec,
     NonViableError,
+    RatingVector,
     Ratings,
     RiskProfile,
     Variant,
     WakalahTerms,
-    as_ratings,
 )
 from .risk import TwoPointScenario, two_point_profile
 
@@ -87,7 +87,7 @@ def sharing_weights(ratings: Ratings) -> tuple[float, ...]:
     beyond the float range underflows to a zero weight, which is rejected.
     The smaller a partner's rating, the larger their weight.
     """
-    c = as_ratings(ratings).values
+    c = RatingVector(ratings)
     smallest = min(c)
     u = [smallest / ci for ci in c]
     norm = math.fsum(u)

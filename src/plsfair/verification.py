@@ -111,7 +111,7 @@ def musharakah_system(
     """
     spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, ratings, capital)
     rho = RiskProfile(e_profit, e_loss).rho
-    c, kappa = spec.ratings.values, spec.capital.values
+    c, kappa = spec.ratings, spec.capital
     d = len(c)
     m = c.index(min(c))
     rows, rhs = [], []
@@ -151,7 +151,7 @@ def wakalah_system(
     """
     spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, ratings, capital, terms)
     profile = RiskProfile(e_profit, e_loss)
-    c, kappa = spec.ratings.values, spec.capital.values
+    c, kappa = spec.ratings, spec.capital
     d = len(c)
     pv = annuity_pv(terms)
     discount = _nonzero_discount(terms)
@@ -208,7 +208,7 @@ def verify_allocation(
     finite, or a spread or sum beyond the float range, is reported as an
     infinite residual and never passes, whatever ``tol``.
     """
-    c, kappa, terms = spec.ratings.values, spec.kappa_eff, spec.wakalah
+    c, kappa, terms = spec.ratings, spec.kappa_eff, spec.wakalah
     gammas = alloc.gammas
     if len(gammas) != len(kappa):
         raise ContractError(f"expected {len(kappa)} ratios for this contract, got {len(gammas)}")

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 from hypothesis import strategies as st
+
+from plsfair import ContractSpec
 
 
 def finite_floats(lo: float, hi: float) -> st.SearchStrategy[float]:
@@ -38,3 +42,16 @@ def random_simplex(rng: np.random.Generator, size: int) -> tuple[float, ...]:
 def random_ratings(rng: np.random.Generator, size: int) -> tuple[float, ...]:
     """Log-uniform ratings in [0.1, 10]."""
     return tuple(float(v) for v in np.exp(rng.uniform(np.log(0.1), np.log(10.0), size)))
+
+
+def contract_to_dict(spec: ContractSpec) -> dict[str, Any]:
+    """Serialize a contract to the JSON document layout (schema 1)."""
+    doc: dict[str, Any] = {
+        "schema": 1,
+        "variant": spec.variant.value,
+        "ratings": list(spec.ratings),
+        "capital": list(spec.capital),
+    }
+    if spec.wakalah is not None:
+        doc["wakalah"] = {"r": spec.wakalah.r, "T": spec.wakalah.T, "k": spec.wakalah.k}
+    return doc

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import plsfair
-from conftest import random_ratings, random_simplex
+from conftest import contract_to_dict, random_ratings, random_simplex
 from plsfair import (
     Allocation,
     AllocationPlan,
@@ -24,7 +24,7 @@ from plsfair import (
     WakalahTerms,
     verify_allocation,
 )
-from plsfair.cli import contract_to_dict, main, profile_from_model
+from plsfair.cli import main, profile_from_model
 
 FIGURE_SWEEP_CONTRACT = {
     "schema": 1,
@@ -126,6 +126,27 @@ class TestRiskCommand:
         attached = run(capsys, ["risk", "--model", "gbm", f"--mu={value}", *flags])
         spaced = run(capsys, ["risk", "--model", "gbm", "--mu", value, *flags])
         assert spaced == attached == (1, "", f"error: drift must be finite, got {shown}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["risk", "--model", "fixed-rho", "--rho", "0.3", "--delta", "1e400"],
+             "argument --delta: out of the float range, got '1e400'"),
+            (["risk", "--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1", "--L", "-1e400"],
+             "argument --L: out of the float range, got '-1e400'"),
+            (["risk", "--model", "fixed-rho", "--rho", "0.999999999999", "--delta", "1e300"],
+             "delta / (1 - rho) is out of the float range at rho = 0.999999999999, delta = 1e+300"),
+            (["sweep", "contract.json", "--rho-to", "1e400"], "argument --rho-to: out of the float range, got '1e400'"),
+        ],
+    )
+    def test_an_overflow_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and err.endswith(f"error: {message}\n")
+
+    def test_flag_text_that_is_no_number_keeps_its_message(self, capsys):
+        code, _, err = run(capsys, ["risk", "--model", "gbm", "--mu", "abc"])
+        assert code == 1 and err.endswith("error: argument --mu: invalid float value: 'abc'\n")
 
     @pytest.mark.parametrize(
         "flags, shown",
@@ -579,6 +600,25 @@ class TestAllocateCommand:
         code, out, err = run(capsys, ["allocate", path])
         assert code == 1 and out == ""
         assert err == f"error: {path}: not valid JSON: {token} is not a JSON number\n"
+
+    @pytest.mark.parametrize(
+        "rest, message",
+        [
+            ('"model": {"kind": "gbm", "mu": 0.1, "sigma": 0.2, "T": 1}, "capital_amount": 1e400',
+             "{path}: not valid JSON: 1e400 is out of the float range"),
+            ('"model": {"kind": "gbm", "mu": -1E+999, "sigma": 0.2, "T": 1}, "capital_amount": 100',
+             "{path}: not valid JSON: -1E+999 is out of the float range"),
+            ('"model": {"kind": "fixed_rho", "rho": 0.999999999999, "delta": 1e300}',
+             "delta / (1 - rho) is out of the float range at rho = 0.999999999999, delta = 1e+300"),
+        ],
+    )
+    def test_an_overflowing_number_is_named(self, capsys, tmp_path, rest, message):
+        # json.dumps cannot write these literals, so the document is written as text.
+        path = tmp_path / "contract.json"
+        path.write_text(
+            '{"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3], ' + rest + "}", encoding="utf-8"
+        )
+        assert run(capsys, ["allocate", str(path)]) == (1, "", f"error: {message.format(path=path)}\n")
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["allocate", str(tmp_path / "nope.json")])

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import finite_floats, ratings_strategy, simplex_strategy
+from conftest import contract_to_dict, finite_floats, ratings_strategy, simplex_strategy
 from plsfair import (
     CapitalShares,
     ContractError,
@@ -19,14 +22,13 @@ from plsfair import (
     Variant,
     WakalahTerms,
 )
-from plsfair.cli import contract_from_dict, contract_to_dict
-from plsfair.contracts import as_capital, as_ratings
+from plsfair.cli import contract_from_dict
 
 
 class TestRatingVector:
     def test_accepts_positive_ratings(self):
         rv = RatingVector((1, 2, 1, 4))
-        assert rv.values == (1.0, 2.0, 1.0, 4.0)
+        assert rv == (1.0, 2.0, 1.0, 4.0)
         assert len(rv) == 4
         assert rv[1] == 2.0
 
@@ -40,7 +42,7 @@ class TestRatingVector:
 
     @given(ratings_strategy)
     def test_accepts_any_positive_vector(self, values):
-        assert RatingVector(tuple(values)).values == tuple(float(v) for v in values)
+        assert RatingVector(tuple(values)) == tuple(float(v) for v in values)
 
     @given(ratings_strategy, st.integers(min_value=0, max_value=7), finite_floats(-10.0, 0.0))
     def test_rejects_any_nonpositive_entry(self, values, pos, bad):
@@ -49,14 +51,40 @@ class TestRatingVector:
         with pytest.raises(ContractError):
             RatingVector(tuple(values))
 
+    def test_is_a_tuple_of_exact_floats(self):
+        rv = RatingVector([1, 2.5, np.float64(3.0)])
+        assert isinstance(rv, tuple)
+        assert [type(v) for v in rv] == [float, float, float]
+
+    def test_compares_and_hashes_as_a_plain_tuple(self):
+        rv = RatingVector((1, 2))
+        assert rv == (1.0, 2.0) and hash(rv) == hash((1.0, 2.0))
+        assert {rv: "x"}[(1.0, 2.0)] == "x"
+        assert repr(rv) == "(1.0, 2.0)"
+
+    def test_a_rating_vector_is_returned_unchanged(self):
+        rv = RatingVector((1.0, 2.0))
+        assert RatingVector(rv) is rv
+
+    def test_attributes_cannot_be_set(self):
+        rv = RatingVector((1.0, 2.0))
+        with pytest.raises(AttributeError):
+            rv.values = (3.0, 4.0)
+
+    @pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+    def test_pickle_and_deepcopy_keep_the_type(self, clone):
+        rv = RatingVector((1.0, 2.0))
+        again = clone(rv)
+        assert type(again) is RatingVector and again == rv
+
 
 class TestCapitalShares:
     def test_accepts_simplex(self):
         ks = CapitalShares((0.125, 0.375, 0.125, 0.375))
-        assert math.isclose(sum(ks.values), 1.0)
+        assert math.isclose(sum(ks), 1.0)
 
     def test_accepts_degenerate_mudharabah_split(self):
-        assert CapitalShares((1.0, 0.0)).values == (1.0, 0.0)
+        assert CapitalShares((1.0, 0.0)) == (1.0, 0.0)
 
     @pytest.mark.parametrize(
         "values",
@@ -74,6 +102,32 @@ class TestCapitalShares:
     def test_rejects_scaled_off_simplex_vectors(self, values, t):
         with pytest.raises(ContractError):
             CapitalShares(tuple(t * v for v in values))
+
+    def test_is_a_tuple_of_exact_floats(self):
+        ks = CapitalShares([1, np.float64(0.0)])
+        assert isinstance(ks, tuple)
+        assert [type(v) for v in ks] == [float, float]
+
+    def test_compares_and_hashes_as_a_plain_tuple(self):
+        ks = CapitalShares((0.25, 0.75))
+        assert ks == (0.25, 0.75) and hash(ks) == hash((0.25, 0.75))
+        # Only the values count: ratings and capital with equal entries compare equal.
+        assert CapitalShares((0.5, 0.5)) == RatingVector((0.5, 0.5))
+
+    def test_capital_shares_are_returned_unchanged(self):
+        ks = CapitalShares((0.25, 0.75))
+        assert CapitalShares(ks) is ks
+
+    def test_attributes_cannot_be_set(self):
+        ks = CapitalShares((0.25, 0.75))
+        with pytest.raises(AttributeError):
+            ks.values = (0.5, 0.5)
+
+    @pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+    def test_pickle_and_deepcopy_keep_the_type(self, clone):
+        ks = CapitalShares((0.25, 0.75))
+        again = clone(ks)
+        assert type(again) is CapitalShares and again == ks
 
 
 class TestRiskProfile:
@@ -126,6 +180,20 @@ class TestRiskProfile:
         via_profit = RiskProfile.from_rho(0.25, e_profit=12.0)
         assert via_profit.e_loss == pytest.approx(3.0)
 
+    @pytest.mark.parametrize(
+        "rho, scale, message",
+        [
+            (0.999999999999, {"delta": 1e300},
+             "delta / (1 - rho) is out of the float range at rho = 0.999999999999, delta = 1e+300"),
+            (2.0, {"delta": -1.7e308}, "rho * e_profit is out of the float range at rho = 2.0, delta = -1.7e+308"),
+            (2.0, {"e_profit": 1e308}, "rho * e_profit is out of the float range at rho = 2.0, e_profit = 1e+308"),
+        ],
+    )
+    def test_from_rho_names_an_overflow(self, rho, scale, message):
+        with pytest.raises(ContractError) as info:
+            RiskProfile.from_rho(rho, **scale)
+        assert str(info.value) == message
+
     def test_from_rho_overdetermined(self):
         with pytest.raises(ContractError):
             RiskProfile.from_rho(0.25, delta=8.0, e_profit=12.0)
@@ -172,11 +240,11 @@ class TestContractSpec:
         spec = ContractSpec(
             variant=Variant.CFAIR_MUDHARABAH, ratings=(1, 1), capital=(1, 0)
         )
-        assert spec.capital.values == (1.0, 0.0)
+        assert spec.capital == (1.0, 0.0)
 
     def test_mudharabah_capital_defaults(self):
         spec = ContractSpec(variant=Variant.CFAIR_MUDHARABAH, ratings=(2, 3))
-        assert spec.capital.values == (1.0, 0.0)
+        assert spec.capital == (1.0, 0.0)
 
     def test_self_managed_example(self):
         spec = ContractSpec(
@@ -274,7 +342,7 @@ class TestContractSpec:
     @pytest.mark.parametrize("capital", [(1 - 1e-13, 1e-13), (1.0, 1e-13), (1.0, 0.0), None])
     def test_mudharabah_capital_is_stored_as_exactly_one_and_zero(self, variant, capital):
         spec = ContractSpec(variant, (2, 2), capital)
-        assert spec.capital.values == spec.kappa_eff == (1.0, 0.0)
+        assert spec.capital == spec.kappa_eff == (1.0, 0.0)
 
     @pytest.mark.parametrize("capital", [(1.0,), (1.0, 0.0, 0.0)])
     def test_mudharabah_capital_of_the_wrong_length(self, capital):
@@ -288,8 +356,8 @@ class TestContractSpec:
 
     def test_coercion_keeps_validated_vectors(self):
         ratings, capital = RatingVector((1.0, 2.0)), CapitalShares((0.5, 0.5))
-        assert as_ratings(ratings) is ratings and as_capital(capital) is capital
-        assert as_ratings([1, 2]) == ratings and as_capital([0.5, 0.5]) == capital
+        assert RatingVector(ratings) is ratings and CapitalShares(capital) is capital
+        assert RatingVector([1, 2]) == ratings and CapitalShares([0.5, 0.5]) == capital
 
 
 # ---------------------------------------------------------------------------
