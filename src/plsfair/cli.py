@@ -39,9 +39,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
-from pathlib import Path
 from typing import Any, Sequence
 
 from .contracts import (
@@ -195,7 +195,7 @@ def profile_from_model(
     model: dict[str, Any],
     capital_amount: float | None,
     *,
-    contract: Path | None,
+    contract: str | os.PathLike | None,
     simulate: bool = False,
     seed: int = 0,
     paths: int = DEFAULT_PATHS,
@@ -228,7 +228,7 @@ def profile_from_model(
         rel = model.get("path")
         if not isinstance(rel, str):
             raise ContractError("empirical model needs a 'path' to the draws file")
-        path = Path(rel) if contract is None else contract.resolve().parent / rel
+        path = rel if contract is None else os.path.join(os.path.dirname(os.path.realpath(contract)), rel)
         draws = load_empirical_draws(path)
         return empirical_profile(
             EmpiricalSample(draws=draws, L=_require_capital_amount(capital_amount, kind))
@@ -327,7 +327,7 @@ def _contract_and_profile(args: argparse.Namespace, purpose: str) -> tuple[Contr
     if model is None:
         raise ContractError(f"contract file has no 'model'; {purpose} needs a risk profile")
     profile = profile_from_model(
-        model, amount, contract=Path(args.contract),
+        model, amount, contract=args.contract,
         simulate=args.simulate, seed=args.seed, paths=args.paths,
     )
     return spec, profile

@@ -1,10 +1,12 @@
 """Core value types for profit-and-loss sharing contracts.
 
-Every type here is immutable and validated at construction, so instances
-are always internally consistent and safe to share between threads. Ratings
-and capital shares are validated tuples of floats, which compare and hash
-equal to plain tuples of the same floats; the other types are frozen
-dataclasses. Monetary quantities are plain floats in an abstract currency
+Every value type here is a validated tuple: immutable and checked in
+``__new__``, so instances are always internally consistent and safe to share
+between threads. Ratings and capital shares are tuples of floats; the
+records are ``namedtuple`` subclasses. Each compares and hashes equal to a
+plain tuple of the same values. namedtuple's ``_make`` and ``_replace`` build
+a record without running ``__new__``, so they skip its checks; nothing here
+calls them. Monetary quantities are plain floats in an abstract currency
 unit; maturities are abstract period counts (no calendars or day-count
 conventions).
 """
@@ -13,10 +15,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import KW_ONLY, dataclass
+from collections import namedtuple
 from enum import Enum
 from os import PathLike
-from pathlib import Path
 from typing import Sequence, Union
 
 #: Absolute tolerance on simplex constraints (capital shares, profit ratios).
@@ -62,12 +63,19 @@ MANAGED_VARIANTS = frozenset(
 )
 
 
-def _as_float_tuple(values: Sequence[float], cls: type = tuple) -> tuple[float, ...]:
-    """``values`` as a ``cls`` (a tuple type) of exact floats."""
+def _as_float_tuple(values: Sequence[float], what: str, cls: type = tuple) -> tuple[float, ...]:
+    """``values`` as a ``cls`` (a tuple type) of exact floats; ``what`` names an entry."""
+    floats = []
     try:
-        return tuple.__new__(cls, [float(v) for v in values])
-    except (TypeError, ValueError, OverflowError) as exc:
+        for v in values:
+            floats.append(float(v))
+    except OverflowError:  # an integer beyond the float range: name it, do not echo it
+        raise ContractError(
+            f"expected a sequence of numbers, but {what} {len(floats) + 1} is out of the float range"
+        ) from None
+    except (TypeError, ValueError) as exc:
         raise ContractError(f"expected a sequence of numbers, got {values!r}") from exc
+    return tuple.__new__(cls, floats)
 
 
 class RatingVector(tuple):
@@ -85,7 +93,7 @@ class RatingVector(tuple):
     def __new__(cls, values: Sequence[float]) -> RatingVector:
         if isinstance(values, cls):
             return values
-        self = _as_float_tuple(values, cls)
+        self = _as_float_tuple(values, "rating", cls)
         d = len(self)
         if d < 2:
             raise ContractError(f"need at least 2 partners, got {d}")
@@ -106,7 +114,7 @@ class CapitalShares(tuple):
     def __new__(cls, values: Sequence[float]) -> CapitalShares:
         if isinstance(values, cls):
             return values
-        self = _as_float_tuple(values, cls)
+        self = _as_float_tuple(values, "capital share", cls)
         if not self:
             raise ContractError("capital shares cannot be empty")
         if len(self) > MAX_PARTNERS:
@@ -130,13 +138,13 @@ Capital = Union[CapitalShares, Sequence[float]]
 def _read_text(path: Union[str, PathLike], what: str) -> str:
     """A UTF-8 text file's contents; any failure to read it is a :class:`ContractError`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except (OSError, ValueError) as exc:  # a UnicodeDecodeError or a NUL byte in the path is a ValueError
         raise ContractError(f"cannot read {what} file: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RiskProfile:
+class RiskProfile(namedtuple("RiskProfile", "e_profit e_loss delta se_profit se_loss se_rho se_delta")):
     """The expected profit and loss of an investment, as a model measured them.
 
     ``e_profit`` is the expected upside E[(R_T - L)^+] and ``e_loss`` the
@@ -148,30 +156,31 @@ class RiskProfile:
     stochastic estimators, are keyword-only.
     """
 
-    e_profit: float
-    e_loss: float
-    _: KW_ONLY
-    delta: float | None = None
-    se_profit: float | None = None
-    se_loss: float | None = None
-    se_rho: float | None = None
-    se_delta: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.e_profit) or self.e_profit <= 0.0:
+    def __new__(cls, e_profit: float, e_loss: float, *, delta: float | None = None,
+                se_profit: float | None = None, se_loss: float | None = None,
+                se_rho: float | None = None, se_delta: float | None = None) -> RiskProfile:
+        if not math.isfinite(e_profit):
+            raise ContractError(f"expected profit must be finite, got {e_profit}")
+        if e_profit <= 0.0:
             raise ContractError(
-                f"expected profit must be positive (payoff not identically the capital), got {self.e_profit}"
+                f"expected profit must be positive (payoff not identically the capital), got {e_profit}"
             )
-        if not math.isfinite(self.e_loss) or self.e_loss < 0.0:
-            raise ContractError(f"expected loss must be non-negative, got {self.e_loss}")
-        if self.rho == math.inf:
-            raise ContractError(f"the risk ratio e_loss / e_profit overflows at {self.e_loss} / {self.e_profit}")
-        difference = self.e_profit - self.e_loss
-        if self.delta is None:
-            object.__setattr__(self, "delta", difference)
-        elif not abs(self.delta - difference) <= SIMPLEX_TOL * max(1.0, self.e_profit, self.e_loss):
+        if not math.isfinite(e_loss) or e_loss < 0.0:
+            raise ContractError(f"expected loss must be non-negative, got {e_loss}")
+        if e_loss / e_profit == math.inf:
+            raise ContractError(f"the risk ratio e_loss / e_profit overflows at {e_loss} / {e_profit}")
+        difference = e_profit - e_loss
+        if delta is None:
+            delta = difference
+        elif not abs(delta - difference) <= SIMPLEX_TOL * max(1.0, e_profit, e_loss):
             # The tolerance scales with the currency magnitude; a NaN delta fails it too.
             raise ContractError("delta is inconsistent with e_profit - e_loss")
+        return tuple.__new__(cls, (e_profit, e_loss, delta, se_profit, se_loss, se_rho, se_delta))
+
+    def __getnewargs_ex__(self):  # pickle and copy rebuild through the keyword-only __new__
+        return (), self._asdict()
 
     @property
     def rho(self) -> float:
@@ -219,8 +228,7 @@ class RiskProfile:
         return self.rho <= 1.0
 
 
-@dataclass(frozen=True)
-class WakalahTerms:
+class WakalahTerms(namedtuple("WakalahTerms", "r T k")):
     """Terms of the agency leg: discount rate, maturity, and payment count.
 
     ``r`` is the per-period discount rate, ``T`` the maturity in periods and
@@ -228,33 +236,27 @@ class WakalahTerms:
     T/k, 2T/k, ..., T.
     """
 
-    r: float
-    T: float
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, r: float, T: float, k: int) -> WakalahTerms:
         try:
-            r, T = float(self.r), float(self.T)
+            r, T = float(r), float(T)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ContractError(
-                f"discount rate and maturity must be numbers, got {self.r!r} and {self.T!r}"
-            ) from exc
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "T", T)
+            raise ContractError(f"discount rate and maturity must be numbers, got {r!r} and {T!r}") from exc
         if not math.isfinite(r) or r < 0.0:
             raise ContractError(f"discount rate must be finite and >= 0, got {r}")
         if not math.isfinite(T) or T <= 0.0:
             raise ContractError(f"maturity must be finite and > 0, got {T}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ContractError(f"payment count must be a positive integer, got {self.k!r}")
-        if self.k > sys.float_info.max:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ContractError(f"payment count must be a positive integer, got {k!r}")
+        if k > sys.float_info.max:
             raise ContractError(
-                f"payment count must be at most {sys.float_info.max:g}, got a {self.k.bit_length()}-bit integer"
+                f"payment count must be at most {sys.float_info.max:g}, got a {k.bit_length()}-bit integer"
             )
+        return tuple.__new__(cls, (r, T, k))
 
 
-@dataclass(frozen=True)
-class ContractSpec:
+class ContractSpec(namedtuple("ContractSpec", "variant ratings capital wakalah")):
     """A fully described contract: variant, ratings, capital split, agency terms.
 
     For the two mudharabah variants the capital is pinned to (1, 0) and may
@@ -263,24 +265,18 @@ class ContractSpec:
     ``capital`` covers only the d-1 funding partners.
     """
 
-    variant: Variant
-    ratings: RatingVector
-    capital: CapitalShares | None = None
-    wakalah: WakalahTerms | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # Every construction, dataclasses.replace included, runs these checks.
-        variant = Variant(self.variant)
-        object.__setattr__(self, "variant", variant)
-        ratings = RatingVector(self.ratings)
-        object.__setattr__(self, "ratings", ratings)
-        capital = self.capital
+    def __new__(cls, variant: Variant, ratings: Ratings, capital: Capital | None = None,
+                wakalah: WakalahTerms | None = None) -> ContractSpec:
+        # Build a changed spec with ContractSpec(...): _replace would skip these checks.
+        variant = Variant(variant)
+        ratings = RatingVector(ratings)
         if capital is None and variant in MUDHARABAH_VARIANTS:
             capital = MUDHARABAH_CAPITAL
         if capital is None:
             raise ContractError("capital shares are required for this variant")
         capital = CapitalShares(capital)
-        object.__setattr__(self, "capital", capital)
         d = len(ratings)
         if variant in MUDHARABAH_VARIANTS:
             if d != 2:
@@ -289,7 +285,7 @@ class ContractSpec:
                 raise ContractError(
                     f"{variant.value} requires capital (1, 0): the funder brings all capital"
                 )
-            object.__setattr__(self, "capital", MUDHARABAH_CAPITAL)  # exactly (1, 0) from here on
+            capital = MUDHARABAH_CAPITAL  # exactly (1, 0) from here on
             if variant is Variant.FAIR_MUDHARABAH and ratings[0] != ratings[1]:
                 raise ContractError(
                     "fair mudharabah rates both partners equally; use cfair_mudharabah for unequal ratings"
@@ -305,12 +301,13 @@ class ContractSpec:
                     f"{variant.value} needs capital for the {d - 1} funding partners, got {len(capital)}"
                 )
         if variant is Variant.MUSHARAKAH_WAKALAH:
-            if self.wakalah is None:
+            if wakalah is None:
                 raise ContractError("wakalah terms (r, T, k) are required for the wakalah variant")
-            if not isinstance(self.wakalah, WakalahTerms):
-                raise ContractError(f"wakalah terms must be WakalahTerms, got {self.wakalah!r}")
-        elif self.wakalah is not None:
+            if not isinstance(wakalah, WakalahTerms):
+                raise ContractError(f"wakalah terms must be WakalahTerms, got {wakalah!r}")
+        elif wakalah is not None:
             raise ContractError(f"wakalah terms are only meaningful for the wakalah variant, not {variant.value}")
+        return tuple.__new__(cls, (variant, ratings, capital, wakalah))
 
     @property
     def partner_count(self) -> int:
@@ -325,8 +322,7 @@ class ContractSpec:
         return self.capital
 
 
-@dataclass(frozen=True, kw_only=True)
-class Allocation:
+class Allocation(namedtuple("Allocation", "gammas payoffs periodic_payment")):
     """Result of a ratio computation, built by keyword only.
 
     ``gammas`` are the profit-sharing fractions (for the wakalah variant,
@@ -342,13 +338,15 @@ class Allocation:
     can be represented and then checked by the verification module.
     """
 
-    gammas: tuple[float, ...]
-    payoffs: tuple[float, ...]
-    periodic_payment: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gammas", _as_float_tuple(self.gammas))
-        object.__setattr__(self, "payoffs", _as_float_tuple(self.payoffs))
+    def __new__(cls, *, gammas: Sequence[float], payoffs: Sequence[float],
+                periodic_payment: float | None = None) -> Allocation:
+        gammas, payoffs = _as_float_tuple(gammas, "gamma"), _as_float_tuple(payoffs, "payoff")
+        return tuple.__new__(cls, (gammas, payoffs, periodic_payment))
+
+    def __getnewargs_ex__(self):  # pickle and copy rebuild through the keyword-only __new__
+        return (), self._asdict()
 
     @property
     def valuation(self) -> str:

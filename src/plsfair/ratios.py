@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Union
 
@@ -57,14 +57,10 @@ class DominanceRegime(str, Enum):
     CROSSES_AT = "crosses_at"
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(namedtuple("DominanceReport", "pair regime crossing_rho note", defaults=(None, None))):
     """How the ratio gap between two partners behaves as the risk varies."""
 
-    pair: tuple[int, int]
-    regime: DominanceRegime
-    crossing_rho: float | None = None
-    note: str | None = None
+    __slots__ = ()
 
 
 def _as_profile(risk: RiskLike) -> RiskProfile:
@@ -143,8 +139,7 @@ def payment_factor(terms: WakalahTerms) -> float:
     return math.exp(log_period - maturity)
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
+class AllocationPlan(namedtuple("AllocationPlan", "weights w_eff kappa_eff terms", defaults=(None,))):
     """A contract reduced to the effective vectors of the affine kernel.
 
     gamma_l = w_eff_l (1 - rho) + kappa_eff_l rho, where kappa_eff is the
@@ -155,10 +150,7 @@ class AllocationPlan:
     computes the sharing weights once, and evaluating it needs only the risk.
     """
 
-    weights: tuple[float, ...]
-    w_eff: tuple[float, ...]
-    kappa_eff: tuple[float, ...]
-    terms: WakalahTerms | None = None
+    __slots__ = ()
 
     @classmethod
     def for_contract(cls, spec: ContractSpec) -> AllocationPlan:

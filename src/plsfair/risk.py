@@ -22,7 +22,7 @@ that uses only the closed forms, or only reads a draws file, never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from os import PathLike
 from typing import TYPE_CHECKING, Union
@@ -53,8 +53,7 @@ def _require_capital(L: float) -> None:
         raise ContractError(f"capital must be positive, got {L}")
 
 
-@dataclass(frozen=True)
-class GbmParams:
+class GbmParams(namedtuple("GbmParams", "mu sigma T L")):
     """Geometric Brownian motion for the income process, started at L.
 
     ``mu`` is the instantaneous return per period, ``sigma`` the volatility
@@ -63,48 +62,42 @@ class GbmParams:
     R_T = L exp((mu - sigma^2/2) T + sigma sqrt(T) Z).
     """
 
-    mu: float
-    sigma: float
-    T: float
-    L: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise ContractError(f"drift must be finite, got {self.mu}")
-        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise ContractError(f"volatility must be positive, got {self.sigma}")
-        if not math.isfinite(self.T) or self.T <= 0.0:
-            raise ContractError(f"horizon must be positive, got {self.T}")
-        _require_capital(self.L)
-        mu_t = self.mu * self.T
-        if mu_t > LOG_FLOAT_MAX or not math.isfinite(self.L * math.exp(mu_t)):
-            raise ContractError(f"expected income L e^(mu T) overflows at mu T = {mu_t}, L = {self.L}")
+    def __new__(cls, mu: float, sigma: float, T: float, L: float) -> GbmParams:
+        if not math.isfinite(mu):
+            raise ContractError(f"drift must be finite, got {mu}")
+        if not math.isfinite(sigma) or sigma <= 0.0:
+            raise ContractError(f"volatility must be positive, got {sigma}")
+        if not math.isfinite(T) or T <= 0.0:
+            raise ContractError(f"horizon must be positive, got {T}")
+        _require_capital(L)
+        mu_t = mu * T
+        if mu_t > LOG_FLOAT_MAX or not math.isfinite(L * math.exp(mu_t)):
+            raise ContractError(f"expected income L e^(mu T) overflows at mu T = {mu_t}, L = {L}")
+        return tuple.__new__(cls, (mu, sigma, T, L))
 
 
-@dataclass(frozen=True)
-class TwoPointScenario:
+class TwoPointScenario(namedtuple("TwoPointScenario", "beta r_plus r_minus L")):
     """Success/failure revenue model: r_plus with probability beta, else r_minus."""
 
-    beta: float
-    r_plus: float
-    r_minus: float
-    L: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.beta) or not 0.0 < self.beta <= 1.0:
-            raise ContractError(f"success probability must lie in (0, 1], got {self.beta}")
-        for name, v in (("r_plus", self.r_plus), ("r_minus", self.r_minus)):
+    def __new__(cls, beta: float, r_plus: float, r_minus: float, L: float) -> TwoPointScenario:
+        if not math.isfinite(beta) or not 0.0 < beta <= 1.0:
+            raise ContractError(f"success probability must lie in (0, 1], got {beta}")
+        for name, v in (("r_plus", r_plus), ("r_minus", r_minus)):
             if not math.isfinite(v):
                 raise ContractError(f"{name} must be finite, got {v}")
-        _require_capital(self.L)
-        if not self.r_plus > self.L:
-            raise ContractError(f"success revenue {self.r_plus} must exceed the capital {self.L}")
-        if not self.r_minus <= self.L:
-            raise ContractError(f"failure revenue {self.r_minus} cannot exceed the capital {self.L}")
+        _require_capital(L)
+        if not r_plus > L:
+            raise ContractError(f"success revenue {r_plus} must exceed the capital {L}")
+        if not r_minus <= L:
+            raise ContractError(f"failure revenue {r_minus} cannot exceed the capital {L}")
+        return tuple.__new__(cls, (beta, r_plus, r_minus, L))
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalSample:
+class EmpiricalSample(namedtuple("EmpiricalSample", "draws L")):
     """Observed terminal incomes against a capital L.
 
     ``draws`` may be any flat sequence of numbers, such as the list of floats
@@ -114,18 +107,17 @@ class EmpiricalSample:
     ``hash`` never walk the draws.
     """
 
-    draws: np.ndarray
-    L: float
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __new__(cls, draws: np.ndarray, L: float) -> EmpiricalSample:
         import numpy as np
 
         try:
-            values = np.array(self.draws, dtype=float)
+            values = np.array(draws, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ContractError(f"draws must be a sequence of numbers: {exc}") from exc
         values.flags.writeable = False
-        object.__setattr__(self, "draws", values)
         if values.ndim != 1:
             raise ContractError(f"draws must be a flat sequence of numbers, got shape {values.shape}")
         if not values.size:
@@ -134,24 +126,23 @@ class EmpiricalSample:
         if not valid.all():
             i = int(valid.argmin())
             raise ContractError(f"draw {i + 1} must be a finite non-negative income, got {float(values[i])}")
-        _require_capital(self.L)
+        _require_capital(L)
+        return tuple.__new__(cls, (values, L))
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(namedtuple("McConfig", "n_paths seed chunk_size")):
     """Monte Carlo controls; (seed, n_paths, chunk_size) pin the result."""
 
-    n_paths: int
-    seed: int = 0
-    chunk_size: int = 1 << 18
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_paths, int) or self.n_paths < 1:
-            raise ContractError(f"n_paths must be a positive integer, got {self.n_paths!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ContractError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise ContractError(f"chunk_size must be a positive integer, got {self.chunk_size!r}")
+    def __new__(cls, n_paths: int, seed: int = 0, chunk_size: int = 1 << 18) -> McConfig:
+        if not isinstance(n_paths, int) or n_paths < 1:
+            raise ContractError(f"n_paths must be a positive integer, got {n_paths!r}")
+        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ContractError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        if not isinstance(chunk_size, int) or chunk_size < 1:
+            raise ContractError(f"chunk_size must be a positive integer, got {chunk_size!r}")
+        return tuple.__new__(cls, (n_paths, seed, chunk_size))
 
 
 McModel = Union[GbmParams, TwoPointScenario]

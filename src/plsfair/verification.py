@@ -17,7 +17,7 @@ periodic-payment convention rather than assuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .contracts import (
@@ -36,8 +36,7 @@ from .ratios import annuity_pv, discount_factor
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "max_fairness_residual simplex_residual passed")):
     """Residuals of a candidate allocation against the fairness equations.
 
     ``max_fairness_residual`` is the spread of the rated payoffs in currency
@@ -47,9 +46,7 @@ class VerificationReport:
     residual is at most tol.
     """
 
-    max_fairness_residual: float
-    simplex_residual: float
-    passed: bool
+    __slots__ = ()
 
 
 def gauss_solve(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list[float]:

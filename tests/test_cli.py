@@ -144,6 +144,11 @@ class TestRiskCommand:
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and err.endswith(f"error: {message}\n")
 
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_an_infinite_expected_profit_is_named(self, capsys, delta):
+        argv = ["risk", "--model", "fixed-rho", "--rho", "0.3", "--delta", delta]
+        assert run(capsys, argv) == (1, "", f"error: expected profit must be finite, got {delta}\n")
+
     def test_flag_text_that_is_no_number_keeps_its_message(self, capsys):
         code, _, err = run(capsys, ["risk", "--model", "gbm", "--mu", "abc"])
         assert code == 1 and err.endswith("error: argument --mu: invalid float value: 'abc'\n")
@@ -620,6 +625,20 @@ class TestAllocateCommand:
         )
         assert run(capsys, ["allocate", str(path)]) == (1, "", f"error: {message.format(path=path)}\n")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"variant": "cfair_mudharabah", "ratings": [2, 10**400]},
+             "expected a sequence of numbers, but rating 2 is out of the float range"),
+            ({"variant": "musharakah_self_managed", "ratings": [2, 3], "capital": [10**400, 0.5]},
+             "expected a sequence of numbers, but capital share 1 is out of the float range"),
+        ],
+        ids=["rating", "capital"],
+    )
+    def test_an_integer_beyond_the_float_range_is_named_by_position(self, capsys, tmp_path, doc, message):
+        path = write_contract(tmp_path, {"schema": 1, **doc, "model": {"kind": "fixed_rho", "rho": 0.3}})
+        assert run(capsys, ["allocate", path]) == (1, "", f"error: {message}\n")
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["allocate", str(tmp_path / "nope.json")])
         assert code == 1
@@ -817,6 +836,21 @@ class TestClosedFormImports:
         )
         result = json.loads(done.stdout.splitlines()[-1])
         assert result == {"codes": [0] * 13, "closed_form": False, "simulate": True}
+
+    def test_a_process_loads_no_dataclasses_inspect_or_pathlib(self, tmp_path):
+        contract = write_contract(tmp_path, {**FIGURE_SWEEP_CONTRACT, "capital_amount": 100.0,
+                                             "model": {"kind": "gbm", "mu": 0.1, "sigma": 0.2, "T": 1}})
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from plsfair.cli import main; "
+            "code = main(['allocate', sys.argv[2]]); "
+            "print(code, sorted({'dataclasses', 'inspect', 'pathlib'} & sys.modules.keys()))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script, src, contract],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestVerifyCommand:

@@ -14,12 +14,21 @@ from hypothesis import strategies as st
 
 from conftest import contract_to_dict, finite_floats, ratings_strategy, simplex_strategy
 from plsfair import (
+    Allocation,
+    AllocationPlan,
     CapitalShares,
     ContractError,
     ContractSpec,
+    DominanceRegime,
+    DominanceReport,
+    EmpiricalSample,
+    GbmParams,
+    McConfig,
     RatingVector,
     RiskProfile,
+    TwoPointScenario,
     Variant,
+    VerificationReport,
     WakalahTerms,
 )
 from plsfair.cli import contract_from_dict
@@ -162,6 +171,10 @@ class TestRiskProfile:
     def test_zero_profit_rejected(self):
         with pytest.raises(ContractError):
             RiskProfile(0.0, 1.0)
+
+    def test_infinite_profit_is_named_as_not_finite(self):
+        with pytest.raises(ContractError, match="^expected profit must be finite, got inf$"):
+            RiskProfile(math.inf, 1.0)
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ContractError):
@@ -358,6 +371,36 @@ class TestContractSpec:
         ratings, capital = RatingVector((1.0, 2.0)), CapitalShares((0.5, 0.5))
         assert RatingVector(ratings) is ratings and CapitalShares(capital) is capital
         assert RatingVector([1, 2]) == ratings and CapitalShares([0.5, 0.5]) == capital
+
+
+_TERMS = WakalahTerms(0.05, 2.0, 4)
+_SPEC = ContractSpec(Variant.MUSHARAKAH_WAKALAH, (1, 2, 3), (0.25, 0.75), _TERMS)
+RECORDS = [
+    RiskProfile(12.0, 4.0, se_rho=0.1),
+    _TERMS,
+    _SPEC,
+    Allocation(gammas=(0.6, 0.4), payoffs=(3.0, 2.0), periodic_payment=1.5),
+    GbmParams(0.1, 0.2, 1.0, 100.0),
+    TwoPointScenario(0.6, 120.0, 90.0, 100.0),
+    EmpiricalSample((120.0, 90.0), 100.0),
+    McConfig(1000, seed=3),
+    DominanceReport((0, 1), DominanceRegime.CROSSES_AT, crossing_rho=0.5),
+    AllocationPlan.for_contract(_SPEC),
+    VerificationReport(1e-12, 0.0, True),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_survive_pickle_and_copy_and_are_frozen(record):
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        again = clone(record)
+        assert type(again) is type(record)
+        if isinstance(record, EmpiricalSample):  # compared by identity: check the draws instead
+            assert again.draws.tolist() == record.draws.tolist() and again.L == record.L
+        else:
+            assert again == record
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
 
 
 # ---------------------------------------------------------------------------

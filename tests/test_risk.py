@@ -273,7 +273,7 @@ def test_every_model_holds_the_capital_to_one_rule(model, L):
 def test_rho_is_the_ratio_of_the_stored_expectations(build):
     p = build()
     assert p.rho == p.e_loss / p.e_profit
-    assert "rho" not in vars(p)
+    assert "rho" not in p._fields
 
 
 class TestTwoPointProfile:
