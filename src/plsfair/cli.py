@@ -42,7 +42,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from .contracts import (
     Allocation,
@@ -78,12 +78,14 @@ CSV_DIGITS = 12
 # Contract file parsing
 
 
-def contract_from_dict(doc: Any) -> ContractSpec:
+def contract_from_dict(doc: object) -> ContractSpec:
     """Parse and validate the contract part of a JSON document."""
     if not isinstance(doc, dict):
         raise ContractError(f"contract document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
     if schema != 1 or isinstance(schema, bool):
+        if type(schema) is int:
+            _number(schema, "field 'schema'")  # an integer beyond the float range is named, not echoed
         raise ContractError(f"unsupported schema {schema!r}; this tool reads schema 1")
     if "variant" not in doc:
         raise ContractError("contract document is missing 'variant'")
@@ -119,7 +121,7 @@ def contract_from_dict(doc: Any) -> ContractSpec:
     )
 
 
-def load_contract(path: str) -> tuple[ContractSpec, dict[str, Any] | None, float | None]:
+def load_contract(path: str) -> tuple[ContractSpec, dict[str, object] | None, float | None]:
     """Read a contract file; returns (spec, model section, capital amount)."""
     text = _read_text(path, "contract")
     try:
@@ -154,14 +156,14 @@ def _parse_float(token: str) -> float:  # float() reads a literal such as 1e400 
 _JSON_NUMBER_TYPES = frozenset({int, float})
 
 
-def _number(value: Any, what: str) -> float:
+def _number(value: object, what: str) -> float:
     """A JSON number as a float: a string or a ``bool`` is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ContractError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except OverflowError:
-        raise ContractError(f"{what} is out of the float range, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range: name it, do not echo it
+        raise ContractError(f"{what} is out of the float range") from None
 
 
 def _numbers(values: list, what: str) -> tuple:
@@ -171,7 +173,7 @@ def _numbers(values: list, what: str) -> tuple:
     return tuple(_number(v, f"{what} {i}") for i, v in enumerate(values, start=1))
 
 
-def _require_number(mapping: dict[str, Any], key: str) -> float:
+def _require_number(mapping: dict[str, object], key: str) -> float:
     if key not in mapping:
         raise ContractError(f"missing numeric field {key!r}")
     return _number(mapping[key], f"field {key!r}")
@@ -192,7 +194,7 @@ _PRICED_MODELS = {
 
 
 def profile_from_model(
-    model: dict[str, Any],
+    model: dict[str, object],
     capital_amount: float | None,
     *,
     contract: str | os.PathLike | None,
@@ -239,9 +241,9 @@ def profile_from_model(
     return RiskProfile.from_rho(rho, delta=delta, e_profit=e_profit)
 
 
-def _model_from_flags(args: argparse.Namespace) -> dict[str, Any]:
+def _model_from_flags(args: argparse.Namespace) -> dict[str, object]:
     kind = args.model.replace("-", "_")
-    model: dict[str, Any] = {"kind": kind}
+    model: dict[str, object] = {"kind": kind}
     if kind in _PRICED_MODELS:
         for key in _PRICED_MODELS[kind][2]:
             model[key] = _flag(args, key)
@@ -276,8 +278,8 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _profile_payload(profile: RiskProfile) -> dict[str, Any]:
-    payload: dict[str, Any] = {
+def _profile_payload(profile: RiskProfile) -> dict[str, object]:
+    payload: dict[str, object] = {
         "e_profit": profile.e_profit,
         "e_loss": profile.e_loss,
         "rho": profile.rho,
@@ -333,7 +335,7 @@ def _contract_and_profile(args: argparse.Namespace, purpose: str) -> tuple[Contr
     return spec, profile
 
 
-def _report_payload(report: VerificationReport, tol: float) -> dict[str, Any]:
+def _report_payload(report: VerificationReport, tol: float) -> dict[str, object]:
     """The verification block of ``allocate --json`` and the body of ``verify --json``;
     a residual that is not finite is written as null, so the output stays strict JSON."""
     return {

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from os import PathLike
-from typing import Sequence, Union
 
 #: Absolute tolerance on simplex constraints (capital shares, profit ratios).
 #: All arithmetic is double precision on at most a few dozen partners, so
@@ -131,11 +131,8 @@ class CapitalShares(tuple):
 #: Capital split of a plain mudharabah: the funding partner brings everything.
 MUDHARABAH_CAPITAL = CapitalShares((1.0, 0.0))
 
-Ratings = Union[RatingVector, Sequence[float]]
-Capital = Union[CapitalShares, Sequence[float]]
 
-
-def _read_text(path: Union[str, PathLike], what: str) -> str:
+def _read_text(path: str | PathLike, what: str) -> str:
     """A UTF-8 text file's contents; any failure to read it is a :class:`ContractError`."""
     try:
         with open(path, encoding="utf-8") as file:
@@ -267,8 +264,8 @@ class ContractSpec(namedtuple("ContractSpec", "variant ratings capital wakalah")
 
     __slots__ = ()
 
-    def __new__(cls, variant: Variant, ratings: Ratings, capital: Capital | None = None,
-                wakalah: WakalahTerms | None = None) -> ContractSpec:
+    def __new__(cls, variant: Variant, ratings: Sequence[float],
+                capital: Sequence[float] | None = None, wakalah: WakalahTerms | None = None) -> ContractSpec:
         # Build a changed spec with ContractSpec(...): _replace would skip these checks.
         variant = Variant(variant)
         ratings = RatingVector(ratings)

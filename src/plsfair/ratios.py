@@ -30,25 +30,20 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import Union
 
 from .contracts import (
-    LOG_FLOAT_MAX,
     Allocation,
-    Capital,
     ContractError,
     ContractSpec,
     NonViableError,
     RatingVector,
-    Ratings,
     RiskProfile,
     Variant,
     WakalahTerms,
 )
 from .risk import TwoPointScenario, two_point_profile
-
-RiskLike = Union[RiskProfile, float]
 
 
 class DominanceRegime(str, Enum):
@@ -63,7 +58,7 @@ class DominanceReport(namedtuple("DominanceReport", "pair regime crossing_rho no
     __slots__ = ()
 
 
-def _as_profile(risk: RiskLike) -> RiskProfile:
+def _as_profile(risk: RiskProfile | float) -> RiskProfile:
     profile = risk if isinstance(risk, RiskProfile) else RiskProfile.from_rho(risk)
     if not profile.viable():
         raise NonViableError(
@@ -72,7 +67,7 @@ def _as_profile(risk: RiskLike) -> RiskProfile:
     return profile
 
 
-def sharing_weights(ratings: Ratings) -> tuple[float, ...]:
+def sharing_weights(ratings: Sequence[float]) -> tuple[float, ...]:
     """Weights with which the partners split the expected investment profit.
 
     Weight l is the product of every rating except partner l's, normalized:
@@ -93,50 +88,51 @@ def sharing_weights(ratings: Ratings) -> tuple[float, ...]:
     return w
 
 
+def _log_growth(terms: WakalahTerms) -> tuple[float, float]:
+    """(period, maturity) = (T/k, T) * log1p(r): the exponents of (1+r)^(T/k) and (1+r)^T."""
+    log_growth = math.log1p(terms.r)
+    return terms.T / terms.k * log_growth, terms.T * log_growth
+
+
 def annuity_pv(terms: WakalahTerms) -> float:
     """Present value of k unit payments at times T/k, 2T/k, ..., T.
 
     Equals k when there is no discounting and (1+r)^-T for a single payment
     at maturity. The manager's total expected payoff is this factor times
-    the periodic payment. Where (1+r)^(T/k) would overflow, the value is
-    (1+r)^(-T/k) to double precision, and may underflow to 0.
+    the periodic payment. It is e^-P (1 - e^-M) / (1 - e^-P) with
+    (P, M) = (T/k, T) log1p(r): negative exponents only, so it may
+    underflow to 0 but never overflows.
     """
-    log_growth = math.log1p(terms.r)
-    period, maturity = terms.T / terms.k * log_growth, terms.T * log_growth
+    period, maturity = _log_growth(terms)
     if period < sys.float_info.min:
-        # e^period - 1 is period = maturity / k itself, and may be subnormal or 0.
+        # 1 - e^-period is period = maturity / k itself, and may be subnormal or 0.
         return terms.k * (-math.expm1(-maturity) / maturity) if maturity else float(terms.k)
-    if period > LOG_FLOAT_MAX:
-        return math.exp(-period)
-    return -math.expm1(-maturity) / math.expm1(period)
+    return math.exp(-period) * math.expm1(-maturity) / math.expm1(-period)
 
 
 def discount_factor(terms: WakalahTerms) -> float:
-    """(1+r)^-T, the factor discounting a maturity payoff to time 0; may underflow to 0."""
-    return (1.0 + terms.r) ** (-terms.T)
+    """(1+r)^-T as e^(-T log1p(r)), the factor discounting a maturity payoff to time 0;
+    with a negative exponent it may underflow to 0 but never overflows."""
+    return math.exp(-_log_growth(terms)[1])
 
 
 def payment_factor(terms: WakalahTerms) -> float:
     """Factor turning the manager's profit share into the periodic payment.
 
     periodic_payment = payment_factor(terms) * weight_manager * delta. For
-    r > 0 it is ((1+r)^(T/k) - 1) / ((1+r)^T - 1); at r = 0 the expression
-    is 0/0 and the limit 1/k is returned, so the k undiscounted payments
-    add up to exactly the manager's share of the expected profit. The
-    identity annuity_pv = (1+r)^-T / payment_factor holds for r > 0. Where
-    (1+r)^T would overflow, the quotient is taken in log space and may
-    underflow to 0.
+    r > 0 it is ((1+r)^(T/k) - 1) / ((1+r)^T - 1), evaluated as
+    e^(P - M) (1 - e^-P) / (1 - e^-M) with (P, M) = (T/k, T) log1p(r):
+    negative exponents only, so it may underflow to 0 but never overflows.
+    At r = 0 the expression is 0/0 and the limit 1/k is returned, so the k
+    undiscounted payments add up to exactly the manager's share of the
+    expected profit. The identity annuity_pv = (1+r)^-T / payment_factor
+    holds for r > 0.
     """
-    log_growth = math.log1p(terms.r)
-    period, maturity = terms.T / terms.k * log_growth, terms.T * log_growth
+    period, maturity = _log_growth(terms)
     if period < sys.float_info.min:
-        # e^period - 1 is period = maturity / k itself, and may be subnormal or 0.
+        # 1 - e^-period is period = maturity / k itself, and may be subnormal or 0.
         return (maturity / math.expm1(maturity) if maturity else 1.0) / terms.k
-    if maturity <= LOG_FLOAT_MAX:
-        return math.expm1(period) / math.expm1(maturity)
-    # log(e^x - 1) = x once e^-x is below double resolution.
-    log_period = math.log(math.expm1(period)) if period <= LOG_FLOAT_MAX else period
-    return math.exp(log_period - maturity)
+    return math.exp(period - maturity) * math.expm1(-period) / math.expm1(-maturity)
 
 
 class AllocationPlan(namedtuple("AllocationPlan", "weights w_eff kappa_eff terms", defaults=(None,))):
@@ -166,7 +162,7 @@ class AllocationPlan(namedtuple("AllocationPlan", "weights w_eff kappa_eff terms
         labour = 1.0 - rho
         return tuple(w * labour + k * rho for w, k in zip(self.w_eff, self.kappa_eff))
 
-    def allocation(self, risk: RiskLike) -> Allocation:
+    def allocation(self, risk: RiskProfile | float) -> Allocation:
         """Ratios, payoffs and, under wakalah, the periodic payment at a viable risk."""
         profile = _as_profile(risk)
         gammas = self.gammas(profile.rho)
@@ -181,7 +177,7 @@ class AllocationPlan(namedtuple("AllocationPlan", "weights w_eff kappa_eff terms
         )
 
 
-def fair_mudharabah(risk: RiskLike) -> tuple[float, float]:
+def fair_mudharabah(risk: RiskProfile | float) -> tuple[float, float]:
     """Ratios equalizing the funder's and the worker's expected payoffs.
 
     Returns (gamma_funder, gamma_worker) = ((1 + rho)/2, (1 - rho)/2), the
@@ -191,7 +187,7 @@ def fair_mudharabah(risk: RiskLike) -> tuple[float, float]:
     return allocate(ContractSpec(Variant.FAIR_MUDHARABAH, (1.0, 1.0)), risk).gammas
 
 
-def cfair_mudharabah(ratings: Ratings, risk: RiskLike) -> Allocation:
+def cfair_mudharabah(ratings: Sequence[float], risk: RiskProfile | float) -> Allocation:
     """Two-party allocation where the funder brings all capital.
 
     The funder (partner 1) absorbs losses, so their ratio carries the full
@@ -202,13 +198,15 @@ def cfair_mudharabah(ratings: Ratings, risk: RiskLike) -> Allocation:
     return allocate(ContractSpec(Variant.CFAIR_MUDHARABAH, ratings), risk)
 
 
-def cfair_musharakah(ratings: Ratings, capital: Capital, risk: RiskLike) -> Allocation:
+def cfair_musharakah(
+    ratings: Sequence[float], capital: Sequence[float], risk: RiskProfile | float
+) -> Allocation:
     """Self-managed d-partner allocation: everyone funds, everyone manages."""
     return allocate(ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, ratings, capital), risk)
 
 
 def cfair_musharakah_external_mudharib(
-    ratings: Ratings, capital: Capital, risk: RiskLike
+    ratings: Sequence[float], capital: Sequence[float], risk: RiskProfile | float
 ) -> Allocation:
     """Allocation when the d-1 funders hire a manager paid by profit share.
 
@@ -220,7 +218,7 @@ def cfair_musharakah_external_mudharib(
 
 
 def cfair_musharakah_wakalah(
-    ratings: Ratings, capital: Capital, risk: RiskLike, terms: WakalahTerms
+    ratings: Sequence[float], capital: Sequence[float], risk: RiskProfile | float, terms: WakalahTerms
 ) -> Allocation:
     """Allocation when the d-1 funders hire an agency manager for a fixed fee.
 
@@ -289,6 +287,6 @@ def dominance_threshold(
     return DominanceReport(pair, DominanceRegime.CROSSES_AT, crossing_rho=crossing)
 
 
-def allocate(spec: ContractSpec, risk: RiskLike) -> Allocation:
+def allocate(spec: ContractSpec, risk: RiskProfile | float) -> Allocation:
     """Evaluate the contract's plan at the given risk."""
     return AllocationPlan.for_contract(spec).allocation(risk)

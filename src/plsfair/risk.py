@@ -25,10 +25,10 @@ import math
 from collections import namedtuple
 from itertools import islice
 from os import PathLike
-from typing import TYPE_CHECKING, Union
 
 from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _read_text
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -143,9 +143,6 @@ class McConfig(namedtuple("McConfig", "n_paths seed chunk_size")):
         if not isinstance(chunk_size, int) or chunk_size < 1:
             raise ContractError(f"chunk_size must be a positive integer, got {chunk_size!r}")
         return tuple.__new__(cls, (n_paths, seed, chunk_size))
-
-
-McModel = Union[GbmParams, TwoPointScenario]
 
 
 def _interval_mass(theta: float, s: float) -> float:
@@ -267,7 +264,9 @@ def _profile_from_moments(m: tuple) -> RiskProfile:
     )
 
 
-def _terminal_draws(model: McModel, rng: np.random.Generator, count: int) -> np.ndarray:
+def _terminal_draws(
+    model: GbmParams | TwoPointScenario, rng: np.random.Generator, count: int
+) -> np.ndarray:
     import numpy as np
 
     if isinstance(model, GbmParams):
@@ -294,7 +293,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def monte_carlo_profile(model: McModel, cfg: McConfig) -> RiskProfile:
+def monte_carlo_profile(model: GbmParams | TwoPointScenario, cfg: McConfig) -> RiskProfile:
     """Estimate the risk profile by exact terminal sampling.
 
     Each chunk's moments of the per-path upside X and downside Y are pooled
@@ -312,7 +311,7 @@ def monte_carlo_profile(model: McModel, cfg: McConfig) -> RiskProfile:
     return _profile_from_moments(moments)
 
 
-def load_empirical_draws(path: Union[str, PathLike]) -> list[float]:
+def load_empirical_draws(path: str | PathLike) -> list[float]:
     """Read terminal draws from a plain-text file, one number per line.
 
     Each line holds exactly what Python's ``float()`` accepts, padded with

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from .contracts import (
     Allocation,
-    Capital,
     ContractError,
     ContractSpec,
-    Ratings,
     RiskProfile,
     Variant,
     WakalahTerms,
@@ -97,7 +95,7 @@ def _nonzero_discount(terms: WakalahTerms) -> float:
 
 
 def musharakah_system(
-    ratings: Ratings, capital: Capital, e_profit: float, e_loss: float
+    ratings: Sequence[float], capital: Sequence[float], e_profit: float, e_loss: float
 ) -> tuple[list[list[float]], list[float]]:
     """Stack the d-1 pairwise rated-payoff equalities plus sum(gamma) = 1,
     as ``(rows, rhs)`` in the unknowns gamma_1..gamma_d.
@@ -125,15 +123,15 @@ def musharakah_system(
 
 
 def solve_fairness_system(
-    ratings: Ratings, capital: Capital, e_profit: float, e_loss: float
+    ratings: Sequence[float], capital: Sequence[float], e_profit: float, e_loss: float
 ) -> tuple[float, ...]:
     """Profit ratios equalizing the rated payoffs, by direct linear solve."""
     return tuple(gauss_solve(*musharakah_system(ratings, capital, e_profit, e_loss)))
 
 
 def wakalah_system(
-    ratings: Ratings,
-    capital: Capital,
+    ratings: Sequence[float],
+    capital: Sequence[float],
     e_profit: float,
     e_loss: float,
     terms: WakalahTerms,
@@ -165,8 +163,8 @@ def wakalah_system(
 
 
 def solve_wakalah_system(
-    ratings: Ratings,
-    capital: Capital,
+    ratings: Sequence[float],
+    capital: Sequence[float],
     e_profit: float,
     e_loss: float,
     terms: WakalahTerms,
@@ -203,8 +201,11 @@ def verify_allocation(
     simplex defect, and passes iff both are within ``tol`` (the spread
     relative to max(ratings) * e_profit). A ratio or payment that is not
     finite, or a spread or sum beyond the float range, is reported as an
-    infinite residual and never passes, whatever ``tol``.
+    infinite residual and never passes, whatever ``tol``, which must be a
+    finite number >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ContractError(f"tol must be a finite number >= 0, got {tol!r}")
     c, kappa, terms = spec.ratings, spec.kappa_eff, spec.wakalah
     gammas = alloc.gammas
     if len(gammas) != len(kappa):

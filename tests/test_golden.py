@@ -74,7 +74,7 @@ GOLDEN = {
         "3673d4ee8d70efc160d880e2b52bbb6f6cd857f41797dc6bce30ae11698662e2",
     ),
     "musharakah_wakalah": (
-        "652dc349e50f8c1c80bffa144a23fce0c49273dbef071e9ba6515dd10ae6b2ec",
+        "d3f51009dd86b4e57aa3c3ebf10e4ec2316b491112997559c7bf7143f579d463",
         "b308b62b5d46417226beec5c9f22dbac8842cc313e0671bda5d032a97ec2bc81",
     ),
 }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -42,6 +43,7 @@ from plsfair import (
     two_point_fair_ratio,
     verify_allocation,
 )
+from plsfair.ratios import discount_factor
 
 
 def weights_oracle(ratings):
@@ -331,6 +333,35 @@ class TestAnnuityFactors:
             pv = -mpmath.expm1(-m) / mpmath.expm1(m / k)
         assert payment_factor(terms) == pytest.approx(float(pf), rel=1e-12)
         assert annuity_pv(terms) == pytest.approx(float(pv), rel=1e-12)
+
+    def test_random_terms_against_mpmath(self):
+        # All three factors and the identity annuity_pv * payment_factor = (1+r)^-T, within
+        # 4 max(1, T log1p(r)) ulp of 60-digit mpmath wherever the results are normal floats.
+        rng = random.Random(20261020)
+        eps, counted = sys.float_info.epsilon, 0
+        for _ in range(3000):
+            r, T = 10.0 ** rng.uniform(-14.0, 0.0), 10.0 ** rng.uniform(-2.0, 6.0)
+            terms = WakalahTerms(r, T, rng.choice((1, 4, 12, 365)))
+            with mpmath.workdps(60):
+                maturity = T * mpmath.log1p(r)
+                period = maturity / terms.k
+                exact = {
+                    "discount": mpmath.exp(-maturity),
+                    "annuity": mpmath.exp(-period) * mpmath.expm1(-maturity) / mpmath.expm1(-period),
+                    "payment": mpmath.exp(period - maturity) * mpmath.expm1(-period) / mpmath.expm1(-maturity),
+                }
+                if min(exact.values()) < sys.float_info.min:
+                    continue
+                counted += 1
+                got = {"discount": discount_factor(terms), "annuity": annuity_pv(terms),
+                       "payment": payment_factor(terms)}
+                got["identity"] = got["annuity"] * got["payment"]
+                exact["identity"] = exact["discount"]
+                bound = 4 * max(1.0, float(maturity)) * eps
+                for name, value in got.items():
+                    error = float(abs(value / exact[name] - 1))
+                    assert error <= bound, (name, terms, error, bound)
+        assert counted > 2800
 
 
 class TestAllocationPlan:

@@ -226,6 +226,19 @@ class TestVerifyAllocation:
         assert report.passed
         assert report.max_fairness_residual <= 1e-12 * 4 * 10.0
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_tolerance_is_a_finite_number_at_least_0(self, tol):
+        # Held to the CLI's --tol rule: nan and -1 failed a fair allocation, inf passed an unfair one.
+        ratings, capital, profile = (1, 2, 3), (0.2, 0.3, 0.5), RiskProfile(10.0, 3.0)
+        spec = ContractSpec(Variant.MUSHARAKAH_SELF_MANAGED, ratings, capital)
+        fair = cfair_musharakah(ratings, capital, profile)
+        unfair = Allocation(gammas=(0.9, 0.05, 0.05), payoffs=fair.payoffs)
+        assert verify_allocation(fair, spec, profile).passed
+        assert not verify_allocation(unfair, spec, profile).passed
+        for alloc in (fair, unfair):
+            with pytest.raises(ContractError, match=r"^tol must be a finite number >= 0, got "):
+                verify_allocation(alloc, spec, profile, tol=tol)
+
     def test_external_mudharib_capital_is_extended(self):
         profile = RiskProfile(10.0, 5.0)
         spec = ContractSpec(Variant.MUSHARAKAH_EXTERNAL_MUDHARIB, (3, 3, 3, 2), (1 / 3,) * 3)
@@ -317,7 +330,7 @@ class TestVerifyAllocation:
         spec = ContractSpec(Variant.CFAIR_MUDHARABAH, (1e300, 1e300))
         profile = RiskProfile.from_rho(0.25, delta=1e308)
         candidate = Allocation(gammas=(0.1, 0.9), payoffs=())
-        for tol in (1e-9, math.inf):
+        for tol in (1e-9, sys.float_info.max):  # the largest tolerance allowed
             report = verify_allocation(candidate, spec, profile, tol=tol)
             assert report.max_fairness_residual == math.inf and not report.passed
 
