@@ -78,6 +78,22 @@ def _as_float_tuple(values: Sequence[float], what: str, cls: type = tuple) -> tu
     return tuple.__new__(cls, floats)
 
 
+def _as_float(value: float, what: str) -> float:
+    """``float(value)``; an integer beyond the float range is named as ``what``, not echoed."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ContractError(f"{what} is out of the float range") from None
+
+
+def _is_finite(value: float, what: str) -> bool:
+    """``math.isfinite(value)``; an integer beyond the float range is named as ``what``, not echoed."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        raise ContractError(f"{what} is out of the float range") from None
+
+
 class RatingVector(tuple):
     """Per-partner rating coefficients, as a validated tuple of floats.
 
@@ -199,15 +215,15 @@ class RiskProfile(namedtuple("RiskProfile", "e_profit e_loss delta se_profit se_
         supply ``delta`` or ``e_profit`` to fix the currency scale of
         payoffs. Passing both is rejected as over-determined.
         """
-        rho = float(rho)
+        rho = _as_float(rho, "rho")
         if not math.isfinite(rho) or rho < 0.0:
             raise ContractError(f"investment risk must be a finite non-negative number, got {rho}")
         if delta is not None and e_profit is not None:
             raise ContractError("supply delta or e_profit, not both")
         if delta is None:
-            given = e_profit = 1.0 if e_profit is None else float(e_profit)
+            given = e_profit = 1.0 if e_profit is None else _as_float(e_profit, "e_profit")
         else:
-            given = delta = float(delta)
+            given = delta = _as_float(delta, "delta")
             if rho == 1.0:
                 if delta != 0.0:
                     raise ContractError("rho = 1 forces delta = 0")

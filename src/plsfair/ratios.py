@@ -125,13 +125,16 @@ def payment_factor(terms: WakalahTerms) -> float:
     negative exponents only, so it may underflow to 0 but never overflows.
     At r = 0 the expression is 0/0 and the limit 1/k is returned, so the k
     undiscounted payments add up to exactly the manager's share of the
-    expected profit. The identity annuity_pv = (1+r)^-T / payment_factor
-    holds for r > 0.
+    expected profit. Where P itself overflows, e^(P - M) is inf - inf and
+    the limit is returned: 1 for a single payment, and 0 for k > 1. The
+    identity annuity_pv = (1+r)^-T / payment_factor holds for r > 0.
     """
     period, maturity = _log_growth(terms)
     if period < sys.float_info.min:
         # 1 - e^-period is period = maturity / k itself, and may be subnormal or 0.
         return (maturity / math.expm1(maturity) if maturity else 1.0) / terms.k
+    if math.isinf(period):
+        return 1.0 if terms.k == 1 else 0.0
     return math.exp(period - maturity) * math.expm1(-period) / math.expm1(-maturity)
 
 

@@ -11,31 +11,42 @@ This module produces those expectations from:
 
 Monte Carlo draws the terminal distribution exactly (no time stepping) and
 streams fixed-size chunks through a counter-based generator keyed by
-(seed, chunk index), so results are a pure function of
-(model, seed, n_paths, chunk_size) no matter how chunks would be scheduled.
+(seed, chunk index). The chunks run on up to one thread per CPU available to
+the process; each worker keeps one draws buffer and one 256 KB leaf buffer,
+whatever the path count. Every sum is formed leaf by leaf along numpy's own
+pairwise-sum tree and the chunks are pooled in chunk order, so results are a
+pure function of (model, seed, n_paths, chunk_size), bit for bit the same
+for any CPU count.
 
 Only the functions that build or reduce draws arrays import numpy, inside
 their bodies: numpy loads with the first sample or simulation, and a process
 that uses only the closed forms, or only reads a draws file, never loads it.
+Likewise ``threading`` is imported only by a simulation that starts threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
+from functools import partial
 from itertools import islice
 from os import PathLike
 
-from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _read_text
+from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _is_finite, _read_text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
+
     import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 # The 6-point Gauss-Legendre rule on [-1, 1], as (positive node, weight) pairs.
 _GL6 = ((0.2386191860831969, 0.46791393457269104), (0.6612093864662645, 0.3607615730481386),
         (0.932469514203152, 0.17132449237917036))
+# Elements per leaf of a pairwise sum: a float64 leaf buffer of 256 KB stays in a core's cache.
+_LEAF = 1 << 15
 
 
 def std_normal_cdf(x: float) -> float:
@@ -49,7 +60,7 @@ def std_normal_cdf(x: float) -> float:
 
 def _require_capital(L: float) -> None:
     """The one rule for the capital L of every model: a finite positive amount."""
-    if not math.isfinite(L) or L <= 0.0:
+    if not _is_finite(L, "L") or L <= 0.0:
         raise ContractError(f"capital must be positive, got {L}")
 
 
@@ -65,11 +76,11 @@ class GbmParams(namedtuple("GbmParams", "mu sigma T L")):
     __slots__ = ()
 
     def __new__(cls, mu: float, sigma: float, T: float, L: float) -> GbmParams:
-        if not math.isfinite(mu):
+        if not _is_finite(mu, "mu"):
             raise ContractError(f"drift must be finite, got {mu}")
-        if not math.isfinite(sigma) or sigma <= 0.0:
+        if not _is_finite(sigma, "sigma") or sigma <= 0.0:
             raise ContractError(f"volatility must be positive, got {sigma}")
-        if not math.isfinite(T) or T <= 0.0:
+        if not _is_finite(T, "T") or T <= 0.0:
             raise ContractError(f"horizon must be positive, got {T}")
         _require_capital(L)
         mu_t = mu * T
@@ -84,10 +95,10 @@ class TwoPointScenario(namedtuple("TwoPointScenario", "beta r_plus r_minus L")):
     __slots__ = ()
 
     def __new__(cls, beta: float, r_plus: float, r_minus: float, L: float) -> TwoPointScenario:
-        if not math.isfinite(beta) or not 0.0 < beta <= 1.0:
+        if not _is_finite(beta, "beta") or not 0.0 < beta <= 1.0:
             raise ContractError(f"success probability must lie in (0, 1], got {beta}")
         for name, v in (("r_plus", r_plus), ("r_minus", r_minus)):
-            if not math.isfinite(v):
+            if not _is_finite(v, name):
                 raise ContractError(f"{name} must be finite, got {v}")
         _require_capital(L)
         if not r_plus > L:
@@ -210,25 +221,58 @@ def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
     return _profile_from_moments(_block_moments(sample.draws, sample.L))
 
 
-def _block_moments(r: np.ndarray, L: float) -> tuple:
+def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], start: int, n: int) -> float:
+    """The sum of the n elements from ``start``, taken along numpy's pairwise
+    tree: a node splits at n//2 rounded down to a multiple of 8, until it is
+    at most _LEAF long. ``leaf(start, n)`` returns such a node as an array,
+    and numpy's own sum of it continues the same tree, so the result is
+    bit for bit numpy's sum of the whole. A module-level function, so the
+    recursion holds no reference cycle that could keep a chunk alive."""
+    if n <= _LEAF:
+        return float(leaf(start, n).sum())
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, n - half)
+
+
+def _block_moments(r: np.ndarray, L: float, buffer: np.ndarray | None = None) -> tuple:
     """Moments (n, sum X, M2 of X, sum Y, M2 of Y) of the upside X = (r - L)^+
     and downside Y = (L - r)^+ over one block of draws. M2, the sum of squared
     deviations from the block's mean, is formed as numpy's ``var`` forms it,
-    so one block reproduces numpy's sample deviation bit for bit. Overflow is
-    left to the finiteness check of ``_profile_from_moments``."""
+    so one block reproduces numpy's sample deviation bit for bit. Each leaf
+    of a sum is formed in ``buffer`` (at least min(r.size, _LEAF) long; made
+    here when not given), so no block-sized temporary is ever made. Overflow
+    is left to the finiteness check of ``_profile_from_moments``."""
     import numpy as np
 
-    moments = [r.size]
-    side = np.empty(r.shape)  # X, then Y, in one buffer: fewer pages to fault in per block
+    n = r.size
+    if buffer is None:
+        buffer = np.empty(min(n, _LEAF))
+    moments = [n]
     with np.errstate(over="ignore", invalid="ignore"):
-        for minuend, subtrahend in ((r, L), (L, r)):
-            np.subtract(minuend, subtrahend, out=side)
-            np.maximum(side, 0.0, out=side)
-            total = float(side.sum())
-            side -= total / r.size
-            side *= side
-            moments += [total, float(side.sum())]
+        for upside in (True, False):
+            total = _pairwise_sum(partial(_payoff_leaf, r, L, upside, buffer, None), 0, n)
+            deviations = partial(_payoff_leaf, r, L, upside, buffer, total / n)
+            moments += [total, _pairwise_sum(deviations, 0, n)]
     return tuple(moments)
+
+
+def _payoff_leaf(r: np.ndarray, L: float, upside: bool, buffer: np.ndarray, mean: float | None,
+                 start: int, count: int) -> np.ndarray:
+    """One leaf of the upside (r - L)^+, or else the downside (L - r)^+, over
+    r[start:start + count], formed in ``buffer``; with a ``mean``, the squared
+    deviations from it instead."""
+    import numpy as np
+
+    out, block = buffer[:count], r[start:start + count]
+    if upside:
+        np.subtract(block, L, out=out)
+    else:
+        np.subtract(L, block, out=out)
+    np.maximum(out, 0.0, out=out)
+    if mean is not None:
+        out -= mean
+        out *= out
+    return out
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -265,12 +309,17 @@ def _profile_from_moments(m: tuple) -> RiskProfile:
 
 
 def _terminal_draws(
-    model: GbmParams | TwoPointScenario, rng: np.random.Generator, count: int
+    model: GbmParams | TwoPointScenario, rng: np.random.Generator, count: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
+    """``count`` terminal incomes of the model, in the first ``count`` slots
+    of ``out`` when it is given, else in a new array."""
     import numpy as np
 
+    if out is not None:
+        out = out[:count]
     if isinstance(model, GbmParams):
-        z = rng.standard_normal(count)
+        z = rng.standard_normal(count) if out is None else rng.standard_normal(out=out)
         drift = (model.mu - 0.5 * model.sigma * model.sigma) * model.T
         vol = model.sigma * math.sqrt(model.T)
         with np.errstate(over="ignore"):  # a far-tail overflow fails the moment check
@@ -281,8 +330,11 @@ def _terminal_draws(
             z *= model.L
         return z
     if isinstance(model, TwoPointScenario):
-        u = rng.random(count)
-        return np.where(u < model.beta, model.r_plus, model.r_minus)
+        u = rng.random(count) if out is None else rng.random(out=out)
+        success = u < model.beta
+        u.fill(model.r_minus)
+        u[success] = model.r_plus
+        return u
     raise ContractError(f"unsupported Monte Carlo model {model!r}")
 
 
@@ -293,22 +345,86 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stripe(model: GbmParams | TwoPointScenario, cfg: McConfig, first: int, step: int,
+            done: dict, failures: list) -> Iterator[None]:
+    """Moments of chunks first, first + step, ... into ``done``, keyed by chunk
+    index, yielding after each chunk.
+
+    The stripe draws every chunk into one buffer and reduces it through one
+    leaf buffer, and stops before its next chunk once ``failures`` is not empty.
+    """
+    import numpy as np
+
+    n, size = cfg.n_paths, cfg.chunk_size
+    draws = np.empty(min(n, size))
+    leaf = np.empty(min(n, size, _LEAF))
+    for index in range(first, -(-n // size), step):
+        if failures:
+            return
+        start = index * size
+        r = _terminal_draws(model, _chunk_rng(cfg.seed, index), min(size, n - start), draws)
+        done[index] = _block_moments(r, model.L, leaf)
+        yield
+
+
+def _pool_finished(moments: tuple | None, pooled: int, done: dict) -> tuple:
+    """Pool the blocks of ``done`` from chunk index ``pooled`` on into
+    ``moments``, in chunk order, up to the first chunk not finished yet;
+    return the new (moments, pooled)."""
+    while pooled in done:
+        block = done.pop(pooled)
+        moments = block if moments is None else _merge(moments, block)
+        pooled += 1
+    return moments, pooled
+
+
 def monte_carlo_profile(model: GbmParams | TwoPointScenario, cfg: McConfig) -> RiskProfile:
     """Estimate the risk profile by exact terminal sampling.
 
-    Each chunk's moments of the per-path upside X and downside Y are pooled
-    in chunk order, giving bit-identical results for a fixed config; the
-    estimator and its standard errors are those of an empirical sample.
+    The chunks run in stripes on min(chunk count, available CPUs) threads,
+    the calling thread included. Each chunk's moments of the per-path upside
+    X and downside Y are pooled in chunk order, giving bit-identical results
+    for a fixed config whatever the thread count; the estimator and its
+    standard errors are those of an empirical sample. The calling thread
+    pools finished chunks after each of its own, so memory stays flat
+    however many chunks there are.
     """
-    n, size = cfg.n_paths, cfg.chunk_size
-    moments = None
-    for index, start in enumerate(range(0, n, size)):
-        # r stays bound while the next chunk is drawn: freeing each chunk first lets
-        # glibc trim the heap and fault it back in (~20% slower on x86-64 Linux).
-        r = _terminal_draws(model, _chunk_rng(cfg.seed, index), min(size, n - start))
-        block = _block_moments(r, model.L)
-        moments = block if moments is None else _merge(moments, block)
-    return _profile_from_moments(moments)
+    workers = min(-(-cfg.n_paths // cfg.chunk_size), _available_cpus())
+    done, failures, threads = {}, [], []
+    if workers > 1:
+        import threading
+
+        def work(first: int) -> None:
+            try:
+                for _ in _stripe(model, cfg, first, workers, done, failures):
+                    pass
+            except BaseException as exc:  # raised again by the calling thread below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    moments, pooled = None, 0
+    try:
+        for thread in threads:
+            thread.start()
+        for _ in _stripe(model, cfg, 0, workers, done, failures):
+            moments, pooled = _pool_finished(moments, pooled, done)
+    except BaseException as exc:
+        failures.append(exc)  # stops the other stripes before their next chunk
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # it was started
+                thread.join()
+    if failures:
+        raise failures[0]
+    return _profile_from_moments(_pool_finished(moments, pooled, done)[0])
 
 
 def load_empirical_draws(path: str | PathLike) -> list[float]:

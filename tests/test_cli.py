@@ -856,6 +856,20 @@ class TestClosedFormImports:
         )
         assert done.stdout.splitlines()[-1] == "0 []"
 
+    def test_a_closed_form_process_loads_no_threading(self):
+        # Under -I -S nothing else loads it: only a simulation that starts threads does.
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from plsfair.cli import main; "
+            "code = main(['risk', '--model', 'gbm', '--mu', '0.1', '--sigma', '0.2', '--T', '1', '--L', '100']); "
+            "print(code, 'threading' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script, src],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "0 False"
+
 
 class TestVerifyCommand:
     EQUAL_KAPPA = {

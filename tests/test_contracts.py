@@ -200,6 +200,9 @@ class TestRiskProfile:
              "delta / (1 - rho) is out of the float range at rho = 0.999999999999, delta = 1e+300"),
             (2.0, {"delta": -1.7e308}, "rho * e_profit is out of the float range at rho = 2.0, delta = -1.7e+308"),
             (2.0, {"e_profit": 1e308}, "rho * e_profit is out of the float range at rho = 2.0, e_profit = 1e+308"),
+            (10**400, {}, "rho is out of the float range"),
+            (0.5, {"delta": 10**400}, "delta is out of the float range"),
+            (0.5, {"e_profit": -(10**400)}, "e_profit is out of the float range"),
         ],
     )
     def test_from_rho_names_an_overflow(self, rho, scale, message):

@@ -319,6 +319,15 @@ class TestAnnuityFactors:
         assert payment_factor(terms) == 0.0
         assert annuity_pv(terms) == 0.0
 
+    @pytest.mark.parametrize("terms, limit", [(WakalahTerms(1e9, 1.7e308, 12), 0.0),
+                                              (WakalahTerms(10, 1e308, 1), 1.0)])
+    def test_overflowing_period_takes_the_limit(self, terms, limit):
+        # T/k log1p(r) is inf, so e^(P - M) would be inf - inf
+        assert payment_factor(terms) == limit
+        alloc = cfair_musharakah_wakalah((2.0, 3.0, 4.0), (0.5, 0.5), 0.5, terms)
+        assert math.isfinite(alloc.periodic_payment)
+        assert (alloc.periodic_payment > 0.0) == (limit == 1.0)
+
     @pytest.mark.parametrize(
         "r, T, k",
         [(1.7e-245, 1.0, 10**300), (1e-320, 1e-5, 3), (0.05, 1.0, 10**307), (0.3, 2.0, 10**308)],

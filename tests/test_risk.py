@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from plsfair import (
     std_normal_cdf,
     two_point_profile,
 )
+from plsfair import risk
 from plsfair.risk import _chunk_rng, _terminal_draws
 
 # mpmath.ncdf('1.96') to 20 digits: 0.97500210485177956586
@@ -259,6 +261,25 @@ def test_every_model_holds_the_capital_to_one_rule(model, L):
 
 
 @pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda big: GbmParams(big, 0.2, 1.0, 100.0), "mu"),
+        (lambda big: GbmParams(0.1, big, 1.0, 100.0), "sigma"),
+        (lambda big: GbmParams(0.1, 0.2, big, 100.0), "T"),
+        (lambda big: GbmParams(0.1, 0.2, 1.0, big), "L"),
+        (lambda big: TwoPointScenario(big, 120.0, 90.0, 100.0), "beta"),
+        (lambda big: TwoPointScenario(0.5, big, 90.0, 100.0), "r_plus"),
+        (lambda big: TwoPointScenario(0.5, 120.0, -big, 100.0), "r_minus"),
+        (lambda big: TwoPointScenario(0.5, 120.0, 90.0, big), "L"),
+        (lambda big: EmpiricalSample((120.0, 90.0), big), "L"),
+    ],
+)
+def test_an_integer_beyond_the_float_range_is_named(build, field):
+    with pytest.raises(ContractError, match=f"^{field} is out of the float range$"):
+        build(10**400)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: gbm_closed_form(GBM_EXAMPLE),
@@ -448,6 +469,96 @@ class TestMonteCarlo:
         model = GbmParams(mu=709.0, sigma=1.0, T=1.0, L=1.0)
         with pytest.raises(ContractError, match="not a finite number"):
             monte_carlo_profile(model, McConfig(n_paths=1000, seed=0))
+
+    @pytest.mark.parametrize("model", [GBM_EXAMPLE, TwoPointScenario(0.6, 120.0, 90.0, 100.0)],
+                             ids=["gbm", "two_point"])
+    def test_every_thread_count_gives_the_serial_result(self, model, monkeypatch):
+        # More threads than this host may have CPUs, with a short switch interval to
+        # interleave them; chunks longer than a leaf, and a short last chunk.
+        size = 40_000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunks in (1, 2, 3, 5):
+                cfg = McConfig(n_paths=size * (chunks - 1) + 12_345, seed=17, chunk_size=size)
+                profiles = []
+                for cpus in (1, 2, 4):
+                    monkeypatch.setattr(risk, "_available_cpus", lambda cpus=cpus: cpus)
+                    before = threading.active_count()
+                    profiles.append(monte_carlo_profile(model, cfg))
+                    assert threading.active_count() == before
+                assert profiles[0] == profiles[1] == profiles[2], chunks
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_overflow_in_a_chunk_on_another_thread_is_an_error(self, monkeypatch):
+        # chunk 0 stays finite and chunk 1 overflows; with two CPUs chunk 1 runs on the extra thread
+        model = GbmParams(mu=706.3, sigma=1.0, T=1.0, L=1.0)
+        assert np.isfinite(_terminal_draws(model, _chunk_rng(0, 0), 1000)).all()
+        assert not np.isfinite(_terminal_draws(model, _chunk_rng(0, 1), 1000)).all()
+        monkeypatch.setattr(risk, "_available_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(ContractError, match="not a finite number"):
+            monte_carlo_profile(model, McConfig(n_paths=2000, seed=0, chunk_size=1000))
+        assert threading.active_count() == before
+
+    def test_an_exception_on_a_worker_thread_reaches_the_caller(self, monkeypatch):
+        moments = risk._block_moments
+
+        def fail_off_the_calling_thread(r, L, buffer=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("chunk on a worker thread")
+            return moments(r, L, buffer)
+
+        monkeypatch.setattr(risk, "_block_moments", fail_off_the_calling_thread)
+        monkeypatch.setattr(risk, "_available_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="chunk on a worker thread"):
+            monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=4000, seed=0, chunk_size=1000))
+        assert threading.active_count() == before
+
+    def test_a_thread_that_cannot_start_stops_and_joins_the_others(self, monkeypatch):
+        start, started = threading.Thread.start, []
+
+        def start_one(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        monkeypatch.setattr(risk, "_available_cpus", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=6000, seed=0, chunk_size=1000))
+        assert threading.active_count() == before and not started[0].is_alive()
+
+    def test_the_calling_thread_pools_chunks_as_they_finish(self, monkeypatch):
+        # memory stays flat in the chunk count: on one thread no block waits to be pooled
+        pool, pending = risk._pool_finished, []
+
+        def spy(moments, pooled, done):
+            pending.append(len(done))
+            return pool(moments, pooled, done)
+
+        monkeypatch.setattr(risk, "_pool_finished", spy)
+        monkeypatch.setattr(risk, "_available_cpus", lambda: 1)
+        monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=100_000, seed=0, chunk_size=1000))
+        assert pending == [1] * 100 + [0]
+
+    def test_leaf_sums_follow_numpys_pairwise_tree(self):
+        # The leaf reduction is bit for bit numpy's sum only while numpy splits a
+        # sum as n//2 rounded down to a multiple of 8; a sequential order differs.
+        rng = np.random.default_rng(2026)
+        a = rng.standard_normal(1_200_000) * 10.0 ** rng.uniform(-6.0, 6.0, 1_200_000)
+        sizes = [1, 8193, 16385, 1 << 15, (1 << 15) + 1, 213_568, 1 << 18, a.size]
+        sizes += sorted(set(np.geomspace(1, a.size, 224).astype(int).tolist()))
+        orders_differ = 0
+        for n in sizes:
+            tree = risk._pairwise_sum(lambda start, count: a[start:start + count], 0, n)
+            assert tree == float(a[:n].sum()), f"numpy's pairwise summation changed its tree at n = {n}"
+            orders_differ += tree != float(np.cumsum(a[:n])[-1])
+        assert orders_differ > 100
 
     def test_bit_identical_reruns(self):
         cfg = McConfig(n_paths=100_000, seed=42, chunk_size=1 << 14)
