@@ -10,13 +10,15 @@ This module produces those expectations from:
 - seeded Monte Carlo over the stochastic models, with standard errors.
 
 Monte Carlo draws the terminal distribution exactly (no time stepping) and
-streams fixed-size chunks through a counter-based generator keyed by
-(seed, chunk index). The chunks run on up to one thread per CPU available to
-the process; each worker keeps one draws buffer and one 256 KB leaf buffer,
-whatever the path count. Every sum is formed leaf by leaf along numpy's own
-pairwise-sum tree and the chunks are pooled in chunk order, so results are a
-pure function of (model, seed, n_paths, chunk_size), bit for bit the same
-for any CPU count.
+streams fixed-size chunks, each from its own SFC64 generator seeded by
+numpy's ``SeedSequence(seed, spawn_key=(chunk index,))``. The chunks run on
+up to one thread per CPU available to the process; each worker keeps one
+draws buffer and one 256 KB leaf buffer, whatever the path count. Every sum
+is formed leaf by leaf along numpy's own pairwise-sum tree and the chunks
+are pooled in chunk order, so results are a pure function of (model, seed,
+n_paths, chunk_size), bit for bit the same for any CPU count. Seeded
+estimates changed once, when this stream replaced an earlier counter-based
+one; from then on each stays fixed per (seed, n_paths, chunk_size).
 
 Only the functions that build or reduce draws arrays import numpy, inside
 their bodies: numpy loads with the first sample or simulation, and a process
@@ -83,6 +85,7 @@ class GbmParams(namedtuple("GbmParams", "mu sigma T L")):
         if not _is_finite(T, "T") or T <= 0.0:
             raise ContractError(f"horizon must be positive, got {T}")
         _require_capital(L)
+        mu, sigma, T, L = float(mu), float(sigma), float(T), float(L)  # no integer arithmetic below
         mu_t = mu * T
         if mu_t > LOG_FLOAT_MAX or not math.isfinite(L * math.exp(mu_t)):
             raise ContractError(f"expected income L e^(mu T) overflows at mu T = {mu_t}, L = {L}")
@@ -101,6 +104,7 @@ class TwoPointScenario(namedtuple("TwoPointScenario", "beta r_plus r_minus L")):
             if not _is_finite(v, name):
                 raise ContractError(f"{name} must be finite, got {v}")
         _require_capital(L)
+        beta, r_plus, r_minus, L = float(beta), float(r_plus), float(r_minus), float(L)
         if not r_plus > L:
             raise ContractError(f"success revenue {r_plus} must exceed the capital {L}")
         if not r_minus <= L:
@@ -339,10 +343,13 @@ def _terminal_draws(
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    """The generator of one chunk: SFC64 seeded by ``SeedSequence(seed,
+    spawn_key=(chunk_index,))``, numpy's recipe for independent keyed streams.
+    The draws of a chunk depend only on (seed, chunk_index), never on which
+    thread runs it or when."""
     import numpy as np
 
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 def _available_cpus() -> int:

@@ -279,6 +279,16 @@ def test_an_integer_beyond_the_float_range_is_named(build, field):
         build(10**400)
 
 
+def test_integer_fields_are_stored_as_floats():
+    # sigma^2 T overflows in float arithmetic, as at sigma = 1e200, and is never an integer 10^400
+    for params in ((0.1, 10**200, 1, 100), (0, 10**160, 10**10, 100)):
+        model = GbmParams(*params)
+        assert all(type(v) is float for v in model)
+        with pytest.raises(ContractError, match=r"^log-income variance sigma\^2 T = inf at sigma = 1e\+\d+, "):
+            gbm_closed_form(model)
+    assert all(type(v) is float for v in TwoPointScenario(1, 120, 90, 100))
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -431,12 +441,12 @@ class TestMonteCarlo:
         # reduction order, the means may not
         runs = [
             (GBM_EXAMPLE, McConfig(n_paths=100_000, seed=42, chunk_size=1 << 14),
-             ("0x1.d5d7338c80976p+3", "0x1.0914b48246b12p+2",
-              "0x1.20ddedb209d89p-2", "0x1.514cd94b5d3edp+3")),
+             ("0x1.d162a92dbac7ep+3", "0x1.0e4aae4ea5465p+2",
+              "0x1.295d7571250f7p-2", "0x1.4a3d52066824cp+3")),
             (TwoPointScenario(0.6, 120.0, 90.0, 100.0),
              McConfig(n_paths=100_000, seed=7, chunk_size=1 << 14),
-             ("0x1.7ee7d566cf41fp+3", "0x1.01182a9930be1p+2",
-              "0x1.57c5b46d3f75cp-2", "0x1.fcb780346dc5dp+2")),
+             ("0x1.7f81d7dbf4880p+3", "0x1.007e28240b780p+2",
+              "0x1.566e0ac1dc911p-2", "0x1.fe858793dd980p+2")),
         ]
         for model, cfg, pinned in runs:
             p = monte_carlo_profile(model, cfg)
@@ -492,14 +502,20 @@ class TestMonteCarlo:
             sys.setswitchinterval(interval)
 
     def test_overflow_in_a_chunk_on_another_thread_is_an_error(self, monkeypatch):
-        # chunk 0 stays finite and chunk 1 overflows; with two CPUs chunk 1 runs on the extra thread
+        # chunk 0 stays finite and chunk 1 overflows; with two CPUs chunk 1 runs on the extra thread.
+        # About one seed in 30 does that here; the first such seed is found by search.
         model = GbmParams(mu=706.3, sigma=1.0, T=1.0, L=1.0)
-        assert np.isfinite(_terminal_draws(model, _chunk_rng(0, 0), 1000)).all()
-        assert not np.isfinite(_terminal_draws(model, _chunk_rng(0, 1), 1000)).all()
+
+        def finite(seed, index):
+            return bool(np.isfinite(_terminal_draws(model, _chunk_rng(seed, index), 1000)).all())
+
+        seed = next(s for s in range(1000) if finite(s, 0) and not finite(s, 1))
+        assert np.isfinite(_terminal_draws(model, _chunk_rng(seed, 0), 1000)).all()
+        assert not np.isfinite(_terminal_draws(model, _chunk_rng(seed, 1), 1000)).all()
         monkeypatch.setattr(risk, "_available_cpus", lambda: 2)
         before = threading.active_count()
         with pytest.raises(ContractError, match="not a finite number"):
-            monte_carlo_profile(model, McConfig(n_paths=2000, seed=0, chunk_size=1000))
+            monte_carlo_profile(model, McConfig(n_paths=2000, seed=seed, chunk_size=1000))
         assert threading.active_count() == before
 
     def test_an_exception_on_a_worker_thread_reaches_the_caller(self, monkeypatch):
@@ -560,6 +576,19 @@ class TestMonteCarlo:
             orders_differ += tree != float(np.cumsum(a[:n])[-1])
         assert orders_differ > 100
 
+    def test_chunk_streams_are_keyed_by_seed_and_chunk(self):
+        # every (seed, chunk index) its own stream, uncorrelated with the others, the
+        # largest seed included, and the same bytes each time a key's generator is rebuilt
+        n, s = 1 << 16, 20_260
+        keys = [(s, 0), (s, 1), (s + 1, 0), (0, 1), (1, 0), (2**64 - 1, 0)]
+        draws = np.array([_chunk_rng(seed, index).standard_normal(n) for seed, index in keys])
+        assert len({row.tobytes() for row in draws}) == len(keys)
+        off_diagonal = np.corrcoef(draws)[~np.eye(len(keys), dtype=bool)]
+        assert np.abs(off_diagonal).max() < 5.0 / math.sqrt(n)
+        for (seed, index), row in zip(keys, draws):
+            assert _chunk_rng(seed, index).standard_normal(n).tobytes() == row.tobytes()
+        monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=3000, seed=2**64 - 1, chunk_size=1000))
+
     def test_bit_identical_reruns(self):
         cfg = McConfig(n_paths=100_000, seed=42, chunk_size=1 << 14)
         first = monte_carlo_profile(GBM_EXAMPLE, cfg)
@@ -608,10 +637,15 @@ class TestMonteCarlo:
         assert hits >= 99
 
     def test_zero_profit_estimate_is_an_error(self):
-        # seed 3 makes the single draw land on the failure branch
+        # the first seed whose single draw lands on the failure branch (each does with probability 1/2)
         model = TwoPointScenario(0.5, 120.0, 90.0, 100.0)
+        for seed in range(64):
+            draw = _terminal_draws(model, _chunk_rng(seed, 0), 1)[0]
+            if draw < model.L:
+                break
+        assert draw < model.L
         with pytest.raises(ContractError):
-            monte_carlo_profile(model, McConfig(n_paths=1, seed=3))
+            monte_carlo_profile(model, McConfig(n_paths=1, seed=seed))
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
