@@ -174,13 +174,13 @@ class RiskProfile(namedtuple("RiskProfile", "e_profit e_loss delta se_profit se_
     def __new__(cls, e_profit: float, e_loss: float, *, delta: float | None = None,
                 se_profit: float | None = None, se_loss: float | None = None,
                 se_rho: float | None = None, se_delta: float | None = None) -> RiskProfile:
-        if not math.isfinite(e_profit):
+        if not _is_finite(e_profit, "e_profit"):
             raise ContractError(f"expected profit must be finite, got {e_profit}")
         if e_profit <= 0.0:
             raise ContractError(
                 f"expected profit must be positive (payoff not identically the capital), got {e_profit}"
             )
-        if not math.isfinite(e_loss) or e_loss < 0.0:
+        if not _is_finite(e_loss, "e_loss") or e_loss < 0.0:
             raise ContractError(f"expected loss must be non-negative, got {e_loss}")
         if e_loss / e_profit == math.inf:
             raise ContractError(f"the risk ratio e_loss / e_profit overflows at {e_loss} / {e_profit}")

@@ -42,6 +42,7 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
+    _is_finite,
 )
 from .risk import TwoPointScenario, two_point_profile
 
@@ -250,7 +251,7 @@ def two_point_fair_ratio(beta: float, r_plus: float, r_minus: float, L: float) -
     investment risk, and is computed that way. A scenario whose risk
     exceeds 1 raises :class:`NonViableError`.
     """
-    return fair_mudharabah(two_point_profile(TwoPointScenario(float(beta), r_plus, r_minus, L)))[0]
+    return fair_mudharabah(two_point_profile(TwoPointScenario(beta, r_plus, r_minus, L)))[0]
 
 
 def dominance_threshold(
@@ -272,7 +273,7 @@ def dominance_threshold(
     """
     for name, v in (("weight_a", weight_a), ("weight_b", weight_b),
                     ("kappa_a", kappa_a), ("kappa_b", kappa_b)):
-        if not math.isfinite(v) or v < 0.0 or v > 1.0:
+        if not _is_finite(v, name) or v < 0.0 or v > 1.0:
             raise ContractError(f"{name} must lie in [0, 1], got {v}")
     gap_w = weight_a - weight_b
     gap_k = kappa_a - kappa_b

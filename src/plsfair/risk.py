@@ -13,10 +13,12 @@ Monte Carlo draws the terminal distribution exactly (no time stepping) and
 streams fixed-size chunks, each from its own SFC64 generator seeded by
 numpy's ``SeedSequence(seed, spawn_key=(chunk index,))``. The chunks run on
 up to one thread per CPU available to the process; each worker keeps one
-draws buffer and one 256 KB leaf buffer, whatever the path count. Every sum
-is formed leaf by leaf along numpy's own pairwise-sum tree and the chunks
-are pooled in chunk order, so results are a pure function of (model, seed,
-n_paths, chunk_size), bit for bit the same for any CPU count. Seeded
+draws buffer and one 512 KB leaf buffer, whatever the path count. Each
+path's difference R_T - L is formed once, in place in the draws buffer, and
+the moments of both sides are reduced from it. Every sum is formed leaf by
+leaf along numpy's own pairwise-sum tree and the chunks are pooled in chunk
+order, so results are a pure function of (model, seed, n_paths,
+chunk_size), bit for bit the same for any CPU count. Seeded
 estimates changed once, when this stream replaced an earlier counter-based
 one; from then on each stays fixed per (seed, n_paths, chunk_size).
 
@@ -47,8 +49,8 @@ _SQRT2 = math.sqrt(2.0)
 # The 6-point Gauss-Legendre rule on [-1, 1], as (positive node, weight) pairs.
 _GL6 = ((0.2386191860831969, 0.46791393457269104), (0.6612093864662645, 0.3607615730481386),
         (0.932469514203152, 0.17132449237917036))
-# Elements per leaf of a pairwise sum: a float64 leaf buffer of 256 KB stays in a core's cache.
-_LEAF = 1 << 15
+# Elements per leaf of a pairwise sum: a float64 leaf buffer of 512 KB stays in a core's L2 cache.
+_LEAF = 1 << 16
 
 
 def std_normal_cdf(x: float) -> float:
@@ -222,61 +224,67 @@ def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
 
 def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
     """Plug-in estimates from observed draws, with standard errors attached."""
-    return _profile_from_moments(_block_moments(sample.draws, sample.L))
+    return _profile_from_moments(_block_moments(sample.draws - sample.L))  # the draws are read-only
 
 
-def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], start: int, n: int) -> float:
-    """The sum of the n elements from ``start``, taken along numpy's pairwise
-    tree: a node splits at n//2 rounded down to a multiple of 8, until it is
-    at most _LEAF long. ``leaf(start, n)`` returns such a node as an array,
-    and numpy's own sum of it continues the same tree, so the result is
-    bit for bit numpy's sum of the whole. A module-level function, so the
-    recursion holds no reference cycle that could keep a chunk alive."""
+def _pairwise_sums(leaf: Callable[[int, int], tuple[float, float]], start: int,
+                   n: int) -> tuple[float, float]:
+    """Two sums over the n elements from ``start``, each taken along numpy's
+    pairwise tree: a node splits at n//2 rounded down to a multiple of 8,
+    until it is at most _LEAF long. ``leaf(start, n)`` returns both sums of
+    such a node as numpy sums them, which continues the same tree, so each
+    result is bit for bit numpy's sum of the whole. A module-level function,
+    so the recursion holds no reference cycle that could keep a chunk alive."""
     if n <= _LEAF:
-        return float(leaf(start, n).sum())
+        return leaf(start, n)
     half = n // 2 - n // 2 % 8
-    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, n - half)
+    (a, b), (c, e) = _pairwise_sums(leaf, start, half), _pairwise_sums(leaf, start + half, n - half)
+    return a + c, b + e
 
 
-def _block_moments(r: np.ndarray, L: float, buffer: np.ndarray | None = None) -> tuple:
+def _block_moments(d: np.ndarray, buffer: np.ndarray | None = None) -> tuple:
     """Moments (n, sum X, M2 of X, sum Y, M2 of Y) of the upside X = (r - L)^+
-    and downside Y = (L - r)^+ over one block of draws. M2, the sum of squared
-    deviations from the block's mean, is formed as numpy's ``var`` forms it,
-    so one block reproduces numpy's sample deviation bit for bit. Each leaf
-    of a sum is formed in ``buffer`` (at least min(r.size, _LEAF) long; made
-    here when not given), so no block-sized temporary is ever made. Overflow
-    is left to the finiteness check of ``_profile_from_moments``."""
+    and downside Y = (L - r)^+ over one block of differences d = r - L.
+
+    X is max(d, 0) and Y is -min(d, 0), bit for bit, since L - r rounds to
+    exactly -(r - L); sum Y is 0.0 minus the sum of min(d, 0), so it is never
+    -0.0. M2, the sum of squared deviations from the block's mean, is formed
+    as numpy's ``var`` forms it, with (Y - mean_y)^2 as (min(d, 0) + mean_y)^2,
+    so one block reproduces numpy's sample deviation bit for bit. Each pass
+    walks the leaves once for both sides, forming each leaf in ``buffer`` (at
+    least min(d.size, _LEAF) long; made here when not given), so no
+    block-sized temporary is ever made. Overflow is left to the finiteness
+    check of ``_profile_from_moments``."""
     import numpy as np
 
-    n = r.size
+    n = d.size
     if buffer is None:
         buffer = np.empty(min(n, _LEAF))
-    moments = [n]
     with np.errstate(over="ignore", invalid="ignore"):
-        for upside in (True, False):
-            total = _pairwise_sum(partial(_payoff_leaf, r, L, upside, buffer, None), 0, n)
-            deviations = partial(_payoff_leaf, r, L, upside, buffer, total / n)
-            moments += [total, _pairwise_sum(deviations, 0, n)]
-    return tuple(moments)
+        sum_x, sum_min = _pairwise_sums(partial(_side_sums, d, buffer, None), 0, n)
+        sum_y = 0.0 - sum_min
+        m2_x, m2_y = _pairwise_sums(partial(_side_sums, d, buffer, (sum_x / n, sum_y / n)), 0, n)
+    return n, sum_x, m2_x, sum_y, m2_y
 
 
-def _payoff_leaf(r: np.ndarray, L: float, upside: bool, buffer: np.ndarray, mean: float | None,
-                 start: int, count: int) -> np.ndarray:
-    """One leaf of the upside (r - L)^+, or else the downside (L - r)^+, over
-    r[start:start + count], formed in ``buffer``; with a ``mean``, the squared
-    deviations from it instead."""
+def _side_sums(d: np.ndarray, buffer: np.ndarray, means: tuple[float, float] | None,
+               start: int, count: int) -> tuple[float, float]:
+    """(sum of max(d, 0), sum of min(d, 0)) over d[start:start + count], each
+    side formed in ``buffer``; with ``means`` (mean_x, mean_y), the sums of
+    the squared deviations (max(d, 0) - mean_x)^2 and (min(d, 0) + mean_y)^2."""
     import numpy as np
 
-    out, block = buffer[:count], r[start:start + count]
-    if upside:
-        np.subtract(block, L, out=out)
-    else:
-        np.subtract(L, block, out=out)
-    np.maximum(out, 0.0, out=out)
-    if mean is not None:
-        out -= mean
+    out, block = buffer[:count], d[start:start + count]
+    np.maximum(block, 0.0, out=out)
+    if means is not None:
+        out -= means[0]
         out *= out
-    return out
+    upside = float(out.sum())
+    np.minimum(block, 0.0, out=out)
+    if means is not None:
+        out += means[1]
+        out *= out
+    return upside, float(out.sum())
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -364,8 +372,9 @@ def _stripe(model: GbmParams | TwoPointScenario, cfg: McConfig, first: int, step
     """Moments of chunks first, first + step, ... into ``done``, keyed by chunk
     index, yielding after each chunk.
 
-    The stripe draws every chunk into one buffer and reduces it through one
-    leaf buffer, and stops before its next chunk once ``failures`` is not empty.
+    The stripe draws every chunk into one buffer, turns each draw r into its
+    difference r - L there, reduces the differences through one leaf buffer,
+    and stops before its next chunk once ``failures`` is not empty.
     """
     import numpy as np
 
@@ -377,7 +386,7 @@ def _stripe(model: GbmParams | TwoPointScenario, cfg: McConfig, first: int, step
             return
         start = index * size
         r = _terminal_draws(model, _chunk_rng(cfg.seed, index), min(size, n - start), draws)
-        done[index] = _block_moments(r, model.L, leaf)
+        done[index] = _block_moments(np.subtract(r, model.L, out=r), leaf)
         yield
 
 
@@ -447,18 +456,18 @@ def load_empirical_draws(path: str | PathLike) -> list[float]:
     lines = _read_text(path, "draws").splitlines()
     start = 1 if lines and lines[0].strip() == "R_T" else 0
     try:
-        draws = list(map(float, filter(None, map(str.strip, islice(lines, start, None)))))
+        draws = list(map(float, islice(lines, start, None)))  # float() strips whitespace itself
     except ValueError:
-        # The same float() calls again, one line at a time, to name the first bad line.
-        for lineno, raw in enumerate(lines[start:], start=start + 1):
+        # A blank line or a bad one: the same float() calls, one line at a time,
+        # skipping blank lines and naming the first bad line.
+        draws = []
+        for lineno, raw in enumerate(islice(lines, start, None), start=start + 1):
             line = raw.strip()
-            if not line:
-                continue
-            try:
-                float(line)
-            except ValueError as exc:
-                raise ContractError(f"{path}: line {lineno} is not a decimal float: {line!r}") from exc
-        raise  # unreachable: some line failed above
+            if line:
+                try:
+                    draws.append(float(line))
+                except ValueError as exc:
+                    raise ContractError(f"{path}: line {lineno} is not a decimal float: {line!r}") from exc
     if not draws:
         raise ContractError(f"{path}: no draws found")
     return draws

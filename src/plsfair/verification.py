@@ -11,7 +11,8 @@ in [-1, 1] beside the unit row sum(gamma) = 1 and partial pivoting never
 weighs rows of very different size, however far the ratings spread. The
 wakalah system is built from the payoff definitions (discounted partner
 payoffs, annuity-valued manager remuneration), so it adjudicates the
-periodic-payment convention rather than assuming it.
+periodic-payment convention rather than assuming it; each funder's row is
+divided through by its own discounted rated expected profit in the same way.
 """
 
 from __future__ import annotations
@@ -137,26 +138,32 @@ def wakalah_system(
     terms: WakalahTerms,
 ) -> tuple[list[list[float]], list[float]]:
     """Stack the wakalah fairness equations as ``(rows, rhs)`` in the
-    unknowns (gamma_1..gamma_{d-1}, p).
+    unknowns (gamma_1..gamma_{d-1}, q), where q = annuity_pv p / ((1+r)^-T E1)
+    is the manager's payoff in units of the discounted expected profit.
 
     Funding partner l's discounted payoff is
     (1+r)^-T (gamma_l E1 - kappa_l E2) - annuity_pv * p / (d-1); the
     manager's is annuity_pv * p. Each rated partner payoff is equated to the
-    manager's rated payoff, and the gammas sum to 1.
+    manager's rated payoff and divided by the partner's own c_l (1+r)^-T E1:
+    gamma_l - (1/(d-1) + c_d/c_l) q = kappa_l E2/E1. The gammas sum to 1.
+    No coefficient depends on the currency scale or the discount, so none
+    overflows however large c_l (1+r)^-T E1 is; a ratio c_d/c_l beyond the
+    float range, where the closed form's weights underflow too, is an error.
     """
     spec = ContractSpec(Variant.MUSHARAKAH_WAKALAH, ratings, capital, terms)
-    profile = RiskProfile(e_profit, e_loss)
+    rho = RiskProfile(e_profit, e_loss).rho
     c, kappa = spec.ratings, spec.capital
     d = len(c)
-    pv = annuity_pv(terms)
-    discount = _nonzero_discount(terms)
+    _nonzero_discount(terms)  # a zero discount leaves every funder's row without a scale
     rows, rhs = [], []
     for j in range(d - 1):
+        ratio = c[d - 1] / c[j]
+        if ratio == math.inf:
+            raise ContractError(f"rating {d} / rating {j + 1} = {c[d - 1]} / {c[j]} is out of the float range")
         row = [0.0] * d
-        row[j] = c[j] * discount * profile.e_profit
-        row[d - 1] = -(c[j] / (d - 1) + c[d - 1]) * pv
+        row[j], row[d - 1] = 1.0, -(1.0 / (d - 1) + ratio)
         rows.append(row)
-        rhs.append(c[j] * kappa[j] * discount * profile.e_loss)
+        rhs.append(kappa[j] * rho)
     rows.append([1.0] * (d - 1) + [0.0])
     rhs.append(1.0)
     return rows, rhs
@@ -169,9 +176,10 @@ def solve_wakalah_system(
     e_loss: float,
     terms: WakalahTerms,
 ) -> tuple[tuple[float, ...], float]:
-    """Ratios and periodic payment from the raw wakalah system."""
+    """Ratios and periodic payment from the raw wakalah system: the payment
+    is p = q E1 (1+r)^-T / annuity_pv, where (1+r)^-T / annuity_pv <= 1."""
     solution = gauss_solve(*wakalah_system(ratings, capital, e_profit, e_loss, terms))
-    return tuple(solution[:-1]), solution[-1]
+    return tuple(solution[:-1]), solution[-1] * e_profit * (discount_factor(terms) / annuity_pv(terms))
 
 
 def _simplex_defect(gammas: tuple[float, ...]) -> float:

@@ -505,6 +505,10 @@ class TestTwoPointFairRatio:
         with pytest.raises(ContractError):
             two_point_fair_ratio(**kwargs)
 
+    def test_an_integer_beyond_the_float_range_is_named(self):
+        with pytest.raises(ContractError, match="^beta is out of the float range$"):
+            two_point_fair_ratio(10**400, 120.0, 90.0, 100.0)
+
     def test_risk_above_one_is_not_viable(self):
         # rho = 0.9 * 100 / (0.1 * 10) = 90: no fair ratio exists
         with pytest.raises(NonViableError):
@@ -539,6 +543,10 @@ class TestDominance:
     def test_rejects_out_of_range(self):
         with pytest.raises(ContractError):
             dominance_threshold(1.5, 0.2, 0.1, 0.2)
+
+    def test_an_integer_beyond_the_float_range_is_named(self):
+        with pytest.raises(ContractError, match="^kappa_a is out of the float range$"):
+            dominance_threshold(0.5, 0.5, 10**400, 0.1)
 
     @given(
         finite_floats(0.0, 1.0),

@@ -434,6 +434,12 @@ class TestEmpiricalProfile:
         assert abs(profile.e_profit - analytic.e_profit) <= 3.0 * profile.se_profit
         assert abs(profile.e_loss - analytic.e_loss) <= 3.0 * profile.se_loss
 
+    def test_profile_leaves_the_draws_unchanged(self):
+        sample = EmpiricalSample([120.0, 90.0, 100.0, 130.5], 100.0)
+        before = sample.draws.tobytes()
+        empirical_profile(sample)
+        assert sample.draws.tobytes() == before and not sample.draws.flags.writeable
+
 
 class TestMonteCarlo:
     def test_pinned_estimates(self):
@@ -485,7 +491,7 @@ class TestMonteCarlo:
     def test_every_thread_count_gives_the_serial_result(self, model, monkeypatch):
         # More threads than this host may have CPUs, with a short switch interval to
         # interleave them; chunks longer than a leaf, and a short last chunk.
-        size = 40_000
+        size = 70_000
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -521,10 +527,10 @@ class TestMonteCarlo:
     def test_an_exception_on_a_worker_thread_reaches_the_caller(self, monkeypatch):
         moments = risk._block_moments
 
-        def fail_off_the_calling_thread(r, L, buffer=None):
+        def fail_off_the_calling_thread(d, buffer=None):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("chunk on a worker thread")
-            return moments(r, L, buffer)
+            return moments(d, buffer)
 
         monkeypatch.setattr(risk, "_block_moments", fail_off_the_calling_thread)
         monkeypatch.setattr(risk, "_available_cpus", lambda: 2)
@@ -567,14 +573,38 @@ class TestMonteCarlo:
         # sum as n//2 rounded down to a multiple of 8; a sequential order differs.
         rng = np.random.default_rng(2026)
         a = rng.standard_normal(1_200_000) * 10.0 ** rng.uniform(-6.0, 6.0, 1_200_000)
-        sizes = [1, 8193, 16385, 1 << 15, (1 << 15) + 1, 213_568, 1 << 18, a.size]
+        sizes = [1, 8193, 16385, 1 << 15, (1 << 15) + 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5,
+                 213_568, 1 << 18, a.size]
         sizes += sorted(set(np.geomspace(1, a.size, 224).astype(int).tolist()))
         orders_differ = 0
+
+        def leaf(start, count):  # a leaf's sum and its negation's, which the downside relies on
+            return float(a[start:start + count].sum()), float((-a[start:start + count]).sum())
+
         for n in sizes:
-            tree = risk._pairwise_sum(lambda start, count: a[start:start + count], 0, n)
+            tree, negated = risk._pairwise_sums(leaf, 0, n)
             assert tree == float(a[:n].sum()), f"numpy's pairwise summation changed its tree at n = {n}"
+            assert negated == -tree
             orders_differ += tree != float(np.cumsum(a[:n])[-1])
         assert orders_differ > 100
+
+    @pytest.mark.parametrize("n", [1, 7, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
+    def test_moments_of_differences_are_numpys_bit_for_bit(self, n):
+        # X = max(d, 0) and Y = -min(d, 0) of d = r - L against numpy's (r - L)^+ and
+        # (L - r)^+; some draws sit exactly on L. M2 is the numerator of numpy's var,
+        # and M2 / n its var, bit for bit.
+        L = 100.0
+        rng = np.random.default_rng(n)
+        r = L * np.exp(0.3 * rng.standard_normal(n))
+        r[::5] = L
+        for draws in (r, np.maximum(r, L), np.minimum(r, L)):  # both sides, and one side all zero
+            count, sum_x, m2_x, sum_y, m2_y = risk._block_moments(draws - L)
+            assert count == n
+            for total, m2, side in ((sum_x, m2_x, draws - L), (sum_y, m2_y, L - draws)):
+                v = np.maximum(side, 0.0)
+                assert total.hex() == float(v.sum()).hex()
+                assert m2.hex() == float(np.square(v - v.mean()).sum()).hex()
+                assert (m2 / n).hex() == float(v.var()).hex()
 
     def test_chunk_streams_are_keyed_by_seed_and_chunk(self):
         # every (seed, chunk index) its own stream, uncorrelated with the others, the

@@ -205,6 +205,35 @@ class TestWakalahSystem:
             if profile.delta > 0:
                 assert p == pytest.approx(closed.periodic_payment, rel=1e-10)
 
+    @pytest.mark.parametrize("e_loss", [1e9, 1.0])
+    def test_huge_rated_profits_stay_finite(self, e_loss):
+        # c_j (1+r)^-T e_profit overflows for the two funders rated 1e300; each row is
+        # divided by it, so the oracle agrees with the closed form instead of giving NaN
+        ratings, capital, terms = (1.0, 1e300, 1e300), (0.5, 0.5), WakalahTerms(0.05, 2.0, 4)
+        closed = cfair_musharakah_wakalah(ratings, capital, RiskProfile(1e10, e_loss), terms)
+        gammas, p = solve_wakalah_system(ratings, capital, 1e10, e_loss, terms)
+        assert gammas == pytest.approx(closed.gammas, rel=1e-12, abs=0.0)
+        assert p == pytest.approx(closed.periodic_payment, rel=1e-12, abs=0.0)
+
+    def test_matches_closed_form_over_wide_spreads_and_scales(self):
+        # rating spreads up to 1e150 either way, e_profit from 1e-300 to 1e300
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            d = int(rng.integers(2, 9))
+            ratings = tuple(float(v) for v in 10.0 ** rng.uniform(-75.0, 75.0, d))
+            kappa = random_simplex(rng, d - 1)
+            e_profit, rho = float(10.0 ** rng.uniform(-300.0, 300.0)), float(rng.random())
+            terms = WakalahTerms(float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.5, 5.0)), int(rng.integers(1, 13)))
+            closed = cfair_musharakah_wakalah(ratings, kappa, RiskProfile(e_profit, rho * e_profit), terms)
+            gammas, p = solve_wakalah_system(ratings, kappa, e_profit, rho * e_profit, terms)
+            assert max(abs(a - b) for a, b in zip(closed.gammas, gammas)) <= 1e-12
+            assert p == pytest.approx(closed.periodic_payment, rel=1e-12, abs=1e-300)
+
+    def test_a_rating_ratio_beyond_the_float_range_is_an_error(self):
+        # the manager's rating over a funder's overflows; the closed form's weights underflow
+        with pytest.raises(ContractError, match=r"^rating 3 / rating 1 = 1e\+200 / 1e-200 is out of the float range$"):
+            solve_wakalah_system((1e-200, 1e200, 1e200), (0.5, 0.5), 1.0, 0.5, WakalahTerms(0.05, 2.0, 4))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ContractError):
             wakalah_system((1, 1, 1), (0.5, 0.3, 0.2), 1.0, 0.5, WakalahTerms(0.0, 1.0, 1))
@@ -215,6 +244,20 @@ class TestWakalahSystem:
             wakalah_system((1, 1, 1), (0.5, 0.5), 1.0, 0.5, terms)
         with pytest.raises(ContractError, match="discount .* underflows"):
             solve_wakalah_system((1, 1, 1), (0.5, 0.5), 1.0, 0.5, terms)
+
+
+@pytest.mark.parametrize(
+    "solve, field",
+    [
+        (lambda: solve_fairness_system((1, 2), (1.0, 0.0), 10**400, 1.0), "e_profit"),
+        (lambda: solve_fairness_system((1, 2), (1.0, 0.0), 1.0, 10**400), "e_loss"),
+        (lambda: solve_wakalah_system((1, 2, 3), (0.5, 0.5), 10**400, 1.0, WakalahTerms(0.05, 2, 4)), "e_profit"),
+    ],
+    ids=["fairness_profit", "fairness_loss", "wakalah_profit"],
+)
+def test_an_integer_beyond_the_float_range_is_named(solve, field):
+    with pytest.raises(ContractError, match=f"^{field} is out of the float range$"):
+        solve()
 
 
 class TestVerifyAllocation:
