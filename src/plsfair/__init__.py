@@ -24,15 +24,12 @@ from .contracts import (
 )
 from .ratios import (
     AllocationPlan,
-    DominanceRegime,
-    DominanceReport,
     allocate,
     annuity_pv,
     cfair_mudharabah,
     cfair_musharakah,
     cfair_musharakah_external_mudharib,
     cfair_musharakah_wakalah,
-    dominance_threshold,
     fair_mudharabah,
     payment_factor,
     sharing_weights,
@@ -68,8 +65,6 @@ __all__ = [
     "CapitalShares",
     "ContractError",
     "ContractSpec",
-    "DominanceRegime",
-    "DominanceReport",
     "EmpiricalSample",
     "GbmParams",
     "MAX_PARTNERS",
@@ -88,7 +83,6 @@ __all__ = [
     "cfair_musharakah",
     "cfair_musharakah_external_mudharib",
     "cfair_musharakah_wakalah",
-    "dominance_threshold",
     "empirical_profile",
     "fair_mudharabah",
     "gauss_solve",

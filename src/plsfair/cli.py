@@ -42,7 +42,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .contracts import (
     Allocation,
@@ -72,6 +72,8 @@ DEFAULT_PATHS = 1_000_000
 
 #: Significant digits in sweep CSV cells; fixed so output is byte-stable.
 CSV_DIGITS = 12
+#: Sweep rows formatted per write: one write per row is slower, and all rows at once grow with --steps.
+_SWEEP_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +169,12 @@ def _number(value: object, what: str) -> float:
 
 
 def _numbers(values: list, what: str) -> tuple:
-    """The entries of a JSON array, each held to :func:`_number`'s rule."""
+    """The entries of a JSON array as floats, each held to :func:`_number`'s rule."""
     if _JSON_NUMBER_TYPES.issuperset(map(type, values)):  # no call per entry in the usual case
-        return tuple(values)
+        try:
+            return tuple(map(float, values))
+        except OverflowError:  # an integer beyond the float range: _number names its position
+            pass
     return tuple(_number(v, f"{what} {i}") for i, v in enumerate(values, start=1))
 
 
@@ -393,26 +398,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Row sums are (1 - rho) sum(w_eff) + rho sum(kappa_eff), so these two sums bound every row.
     if abs(math.fsum(plan.w_eff) - 1.0) > 1e-9 or abs(math.fsum(plan.kappa_eff) - 1.0) > 1e-9:
         raise ContractError("the contract's sharing plan violates the ratio simplex")
-    pairs = tuple(zip(plan.w_eff, plan.kappa_eff))
-    # One %-format per row; "%.12g" % x and f"{x:.12g}" print the same digits.
-    row_format = ",".join([f"%.{CSV_DIGITS}g"] * (len(pairs) + 1))
-    lines = ["rho," + ",".join(f"gamma_{j + 1}" for j in range(len(pairs)))]
-    for i in range(steps):
-        # The grid stays within [lo, hi] <= 1, so every row is a viable risk.
-        rho = lo + (hi - lo) * i / (steps - 1)
-        labour = 1.0 - rho
-        gammas = [w * labour + k * rho for w, k in pairs]  # AllocationPlan.gammas, inlined
-        lines.append(row_format % (rho, *gammas))
-    text = "\n".join(lines) + "\n"
+    blocks = _sweep_csv(tuple(zip(plan.w_eff, plan.kappa_eff)), lo, hi, steps)
     if args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return 0
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ContractError(f"cannot write sweep output: {exc}") from exc
     return 0
+
+
+def _sweep_csv(pairs: tuple[tuple[float, float], ...], lo: float, hi: float, steps: int) -> Iterator[str]:
+    """The sweep CSV of the plan's (w_eff, kappa_eff) pairs: the header, then the
+    rows in blocks of :data:`_SWEEP_BLOCK_ROWS`, so memory stays flat at any step count."""
+    # One %-format per row; "%.12g" % x and f"{x:.12g}" print the same digits.
+    row_format = ",".join([f"%.{CSV_DIGITS}g"] * (len(pairs) + 1))
+    yield "rho," + ",".join(f"gamma_{j + 1}" for j in range(len(pairs))) + "\n"
+    for start in range(0, steps, _SWEEP_BLOCK_ROWS):
+        rows = []
+        for i in range(start, min(start + _SWEEP_BLOCK_ROWS, steps)):
+            # The grid stays within [lo, hi] <= 1, so every row is a viable risk.
+            rho = lo + (hi - lo) * i / (steps - 1)
+            labour = 1.0 - rho
+            gammas = [w * labour + k * rho for w, k in pairs]  # AllocationPlan.gammas, inlined
+            rows.append(row_format % (rho, *gammas))
+        yield "\n".join(rows) + "\n"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

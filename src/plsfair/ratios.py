@@ -18,7 +18,8 @@ The variants differ only in their effective vectors (w_eff, kappa_eff).
 A :class:`~plsfair.contracts.ContractSpec` validates a contract's shape;
 :meth:`AllocationPlan.for_contract` turns it into those vectors once, and
 one affine kernel then evaluates the plan at any rho. ``allocate`` and every
-``cfair_*`` function reduce to that plan.
+``cfair_*`` function reduce to that plan, and ``plan.crossing(a, b)`` gives
+the risk at which two partners' ratios swap order, labour against capital.
 
 All operations are pure functions; anything accepting a risk argument takes
 either a :class:`~plsfair.contracts.RiskProfile` or a bare ``rho`` (which
@@ -31,7 +32,6 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from enum import Enum
 
 from .contracts import (
     Allocation,
@@ -42,21 +42,8 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
-    _is_finite,
 )
 from .risk import TwoPointScenario, two_point_profile
-
-
-class DominanceRegime(str, Enum):
-    ALWAYS_GE = "always_ge"
-    ALWAYS_LE = "always_le"
-    CROSSES_AT = "crosses_at"
-
-
-class DominanceReport(namedtuple("DominanceReport", "pair regime crossing_rho note", defaults=(None, None))):
-    """How the ratio gap between two partners behaves as the risk varies."""
-
-    __slots__ = ()
 
 
 def _as_profile(risk: RiskProfile | float) -> RiskProfile:
@@ -166,6 +153,26 @@ class AllocationPlan(namedtuple("AllocationPlan", "weights w_eff kappa_eff terms
         labour = 1.0 - rho
         return tuple(w * labour + k * rho for w, k in zip(self.w_eff, self.kappa_eff))
 
+    def crossing(self, a: int, b: int) -> float | None:
+        """The investment risk rho* in (0, 1) where ratio holders a and b swap order.
+
+        ``a`` and ``b`` are 0-based positions in ``w_eff`` (under wakalah, the
+        d-1 funders). gamma_a - gamma_b = gap_w (1 - rho) + gap_k rho is affine
+        in rho, so it changes sign at most once: at rho* = gap_w / (gap_w - gap_k)
+        when the weight and capital gaps have opposite signs, with a ahead
+        below rho* iff gap_w > 0. Any other pair of gaps, a == b among them,
+        gives None.
+        """
+        if not all(isinstance(i, int) and 0 <= i < len(self.w_eff) for i in (a, b)):
+            raise ContractError(f"partners a and b must be integer positions in range({len(self.w_eff)})")
+        gap_w = self.w_eff[a] - self.w_eff[b]
+        gap_k = self.kappa_eff[a] - self.kappa_eff[b]
+        if not (gap_w > 0.0 > gap_k or gap_w < 0.0 < gap_k):  # signs: a product of subnormals is 0
+            return None
+        # rho* is strictly inside (0, 1), but where one gap is far smaller than
+        # the other the quotient can round onto 0 or 1, so it is pinned inside.
+        return min(max(gap_w / (gap_w - gap_k), math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+
     def allocation(self, risk: RiskProfile | float) -> Allocation:
         """Ratios, payoffs and, under wakalah, the periodic payment at a viable risk."""
         profile = _as_profile(risk)
@@ -252,43 +259,6 @@ def two_point_fair_ratio(beta: float, r_plus: float, r_minus: float, L: float) -
     exceeds 1 raises :class:`NonViableError`.
     """
     return fair_mudharabah(two_point_profile(TwoPointScenario(beta, r_plus, r_minus, L)))[0]
-
-
-def dominance_threshold(
-    weight_a: float,
-    weight_b: float,
-    kappa_a: float,
-    kappa_b: float,
-    pair: tuple[int, int] = (0, 1),
-) -> DominanceReport:
-    """Classify how gamma_a - gamma_b behaves over the whole risk range.
-
-    The gap is affine in rho: (weight_a - weight_b)(1 - rho) +
-    (kappa_a - kappa_b) rho. When the weight and capital gaps share a sign
-    the ordering never flips; with opposite signs the ratios cross at
-
-        rho* = gap_w / (gap_w - gap_k)  in (0, 1)
-
-    and partner a leads for rho below rho* iff a out-weights b.
-    """
-    for name, v in (("weight_a", weight_a), ("weight_b", weight_b),
-                    ("kappa_a", kappa_a), ("kappa_b", kappa_b)):
-        if not _is_finite(v, name) or v < 0.0 or v > 1.0:
-            raise ContractError(f"{name} must lie in [0, 1], got {v}")
-    gap_w = weight_a - weight_b
-    gap_k = kappa_a - kappa_b
-    if gap_w == 0.0 and gap_k == 0.0:
-        return DominanceReport(pair, DominanceRegime.ALWAYS_GE, note="ratios identical")
-    if gap_w >= 0.0 and gap_k >= 0.0:
-        return DominanceReport(pair, DominanceRegime.ALWAYS_GE)
-    if gap_w <= 0.0 and gap_k <= 0.0:
-        return DominanceReport(pair, DominanceRegime.ALWAYS_LE)
-    crossing = gap_w / (gap_w - gap_k)
-    # Subnormal gaps can round the quotient onto a boundary; the crossing is
-    # strictly interior in exact arithmetic, so pin it inside the unit
-    # interval at float resolution.
-    crossing = min(max(crossing, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
-    return DominanceReport(pair, DominanceRegime.CROSSES_AT, crossing_rho=crossing)
 
 
 def allocate(spec: ContractSpec, risk: RiskProfile | float) -> Allocation:

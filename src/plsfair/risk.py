@@ -37,7 +37,7 @@ from functools import partial
 from itertools import islice
 from os import PathLike
 
-from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _is_finite, _read_text
+from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _as_float, _is_finite, _read_text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -57,9 +57,13 @@ def std_normal_cdf(x: float) -> float:
     """Standard normal CDF, accurate to well under 1e-12 on [-8, 8].
 
     Delegates to the C library's erfc, which keeps the relative accuracy
-    needed deep in the tails where naive series lose everything.
+    needed deep in the tails where naive series lose everything. A NaN, or
+    an integer beyond the float range, is a :class:`ContractError`.
     """
-    return 0.5 * math.erfc(-x / _SQRT2)
+    cdf = 0.5 * math.erfc(-_as_float(x, "x") / _SQRT2)
+    if math.isnan(cdf):
+        raise ContractError("the normal CDF is undefined at nan")
+    return cdf
 
 
 def _require_capital(L: float) -> None:

@@ -28,6 +28,7 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
+    _is_finite,
 )
 from .ratios import annuity_pv, discount_factor
 
@@ -54,13 +55,14 @@ def gauss_solve(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list
     ``matrix`` is any sequence of rows (nested lists, or a 2-D numpy array)
     and is copied into lists of floats; rows whose entry in the pivot column
     is already zero are skipped, which keeps the sparse fairness systems cheap.
+    A solution that is not finite is a :class:`ContractError`.
     """
-    b = [float(v) for v in rhs]
-    n = len(b)
     try:
+        b = [float(v) for v in rhs]
         a = [[float(v) for v in row] for row in matrix]
-    except (TypeError, ValueError):
-        raise ContractError(f"matrix must be {n} rows of {n} numbers") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond the float range
+        raise ContractError("matrix must be rows of numbers and rhs numbers, within the float range") from None
+    n = len(b)
     if len(a) != n or any(len(row) != n for row in a):
         width = len(a[0]) if a else 0
         raise ContractError(f"matrix shape {(len(a), width)} does not match rhs length {n}")
@@ -78,9 +80,14 @@ def gauss_solve(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list
                 a[row][col:] = [x - lam * y for x, y in zip(a[row][col:], head)]
                 b[row] -= lam * b[col]
     x = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        tail = math.fsum(a[row][k] * x[k] for k in range(row + 1, n))
-        x[row] = (b[row] - tail) / a[row][row]
+    try:
+        for row in range(n - 1, -1, -1):
+            tail = math.fsum(a[row][k] * x[k] for k in range(row + 1, n))
+            x[row] = (b[row] - tail) / a[row][row]
+    except (ValueError, OverflowError):  # fsum meets inf - inf, or a partial sum beyond the float range
+        x = [math.nan]
+    if not all(map(math.isfinite, x)):
+        raise ContractError("the system has no finite solution: an entry is not finite, or the elimination overflows")
     return x
 
 
@@ -212,7 +219,7 @@ def verify_allocation(
     infinite residual and never passes, whatever ``tol``, which must be a
     finite number >= 0.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if not (_is_finite(tol, "tol") and tol >= 0.0):
         raise ContractError(f"tol must be a finite number >= 0, got {tol!r}")
     c, kappa, terms = spec.ratings, spec.kappa_eff, spec.wakalah
     gammas = alloc.gammas

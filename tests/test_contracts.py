@@ -19,8 +19,6 @@ from plsfair import (
     CapitalShares,
     ContractError,
     ContractSpec,
-    DominanceRegime,
-    DominanceReport,
     EmpiricalSample,
     GbmParams,
     McConfig,
@@ -387,7 +385,6 @@ RECORDS = [
     TwoPointScenario(0.6, 120.0, 90.0, 100.0),
     EmpiricalSample((120.0, 90.0), 100.0),
     McConfig(1000, seed=3),
-    DominanceReport((0, 1), DominanceRegime.CROSSES_AT, crossing_rho=0.5),
     AllocationPlan.for_contract(_SPEC),
     VerificationReport(1e-12, 0.0, True),
 ]

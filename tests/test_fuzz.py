@@ -1,25 +1,39 @@
-"""Input fuzzing of the CLI: arbitrary contract documents never trace back.
+"""Input fuzzing: arbitrary contract documents never trace back, and the
+library keeps the same promise.
 
 Every document, however malformed, must end ``allocate``, ``sweep`` and
 ``verify`` with a documented exit code (0, 1, 2 or 3); an input error is
 reported on a single ``error:`` line. The draws path of an empirical model
 is one of three names next to the contract file (a valid draws file, a
 missing name, a directory), so no example reads outside the test's own
-directory.
+directory. Every public function of the ratio engine, the risk engine and
+the verifier, called on the same number pool, returns only finite floats
+or raises a ``ContractError``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import simplex_strategy
+from plsfair import ratios, risk, verification
 from plsfair.cli import main
-from plsfair.contracts import MANAGED_VARIANTS, MUDHARABAH_VARIANTS, Variant
+from plsfair.contracts import (
+    MANAGED_VARIANTS,
+    MUDHARABAH_VARIANTS,
+    ContractError,
+    ContractSpec,
+    RiskProfile,
+    Variant,
+    WakalahTerms,
+)
 
 DRAWS_PATHS = ("draws.txt", "missing.txt", "subdir")
 
@@ -172,3 +186,162 @@ def test_no_exception_escapes_the_cli(workdir, doc):
         if code in (1, 2):
             message = err.getvalue()
             assert message.startswith("error: ") and message.count("\n") == 1, message
+
+
+# ---------------------------------------------------------------------------
+# The library: a finite result or a ContractError
+
+
+def _sized_contract_args(d: int) -> st.SearchStrategy:
+    shares = [_rarely(simplex_strategy(size=n).map(list), st.lists(numbers, min_size=n, max_size=n), 8)
+              for n in (d, d - 1)]
+    ratings = _rarely(st.lists(_plausible(0.1, 10.0), min_size=d, max_size=d),
+                      st.lists(numbers, max_size=d + 1), 8)
+    return st.tuples(ratings, *shares)
+
+
+#: Ratings with capital for all d partners and for d-1 funders: mostly a contract, now and then
+#: anything of the number pool, so a call gets past its first check.
+_contract_args = st.one_of([_sized_contract_args(d) for d in (2, 3, 4)])
+_expectations = st.tuples(_plausible(1e-3, 1e3), _plausible(0.0, 1e3))
+#: A bare rho, or the (e_profit, e_loss) of a profile.
+_risks = _plausible(0.0, 1.2) | _expectations
+_terms = st.tuples(_plausible(0.0, 0.2), _plausible(0.1, 1e7), _rarely(st.integers(1, 12), numbers, 8))
+_capital_amounts = _plausible(50.0, 150.0)
+_gbm = st.tuples(_plausible(-1.0, 1.0), _plausible(0.01, 1.0), _plausible(0.1, 10.0), _capital_amounts)
+_two_point = st.tuples(_plausible(0.0, 1.0), _plausible(50.0, 200.0), _plausible(0.0, 150.0), _capital_amounts)
+_draws = st.lists(_plausible(0.0, 200.0), min_size=1, max_size=6)
+def _entries(n: int) -> st.SearchStrategy:
+    return st.lists(_plausible(-10.0, 10.0), min_size=n, max_size=n)
+
+
+_musharakah_variants = st.sampled_from([v for v in Variant if v not in MUDHARABAH_VARIANTS])
+
+
+def _risk(value: float | tuple) -> RiskProfile | float:
+    return RiskProfile(*value) if isinstance(value, tuple) else value
+
+
+def _spec(variant: Variant, contract: tuple, terms: tuple) -> ContractSpec:
+    ratings, capital, funders = contract
+    if variant is Variant.MUSHARAKAH_SELF_MANAGED:
+        return ContractSpec(variant, ratings, capital)
+    wakalah = WakalahTerms(*terms) if variant is Variant.MUSHARAKAH_WAKALAH else None
+    return ContractSpec(variant, ratings, funders, wakalah)
+
+
+def _verified(variant: Variant, contract: tuple, terms: tuple, expectations: tuple, tol: float):
+    spec, profile = _spec(variant, contract, terms), RiskProfile(*expectations)
+    return verification.verify_allocation(ratios.allocate(spec, profile), spec, profile, tol)
+
+
+def _read_draws(draws: list, L: float, path) -> RiskProfile:
+    path.write_text("R_T\n" + "\n".join(map(repr, draws)) + "\n", encoding="utf-8")
+    return risk.empirical_profile(risk.EmpiricalSample(risk.load_empirical_draws(path), L))
+
+
+#: Every public function of ratios, risk and verification, and AllocationPlan.crossing: a strategy for
+#: its arguments and the call. load_empirical_draws returns a file's floats unchecked, as a parse, so it
+#: is called together with the EmpiricalSample that checks them. Monte Carlo runs at most 10^4 paths.
+ENGINE_CALLS = {
+    "sharing_weights": (st.tuples(_contract_args), lambda c: ratios.sharing_weights(c[0])),
+    "annuity_pv": (st.tuples(_terms), lambda t: ratios.annuity_pv(WakalahTerms(*t))),
+    "discount_factor": (st.tuples(_terms), lambda t: ratios.discount_factor(WakalahTerms(*t))),
+    "payment_factor": (st.tuples(_terms), lambda t: ratios.payment_factor(WakalahTerms(*t))),
+    "fair_mudharabah": (st.tuples(_risks), lambda r: ratios.fair_mudharabah(_risk(r))),
+    "cfair_mudharabah": (st.tuples(_contract_args, _risks),
+                         lambda c, r: ratios.cfair_mudharabah(c[0][:2], _risk(r))),
+    "cfair_musharakah": (st.tuples(_contract_args, _risks),
+                         lambda c, r: ratios.cfair_musharakah(c[0], c[1], _risk(r))),
+    "cfair_musharakah_external_mudharib": (
+        st.tuples(_contract_args, _risks),
+        lambda c, r: ratios.cfair_musharakah_external_mudharib(c[0], c[2], _risk(r))),
+    "cfair_musharakah_wakalah": (
+        st.tuples(_contract_args, _risks, _terms),
+        lambda c, r, t: ratios.cfair_musharakah_wakalah(c[0], c[2], _risk(r), WakalahTerms(*t))),
+    "two_point_fair_ratio": (_two_point, ratios.two_point_fair_ratio),
+    "allocate": (st.tuples(_musharakah_variants, _contract_args, _terms, _risks),
+                 lambda v, c, t, r: ratios.allocate(_spec(v, c, t), _risk(r))),
+    "AllocationPlan.crossing": (
+        st.tuples(_musharakah_variants, _contract_args, _terms, *[st.integers(0, 3) | numbers] * 2),
+        lambda v, c, t, a, b: ratios.AllocationPlan.for_contract(_spec(v, c, t)).crossing(a, b)),
+    "std_normal_cdf": (st.tuples(numbers), risk.std_normal_cdf),
+    "gbm_closed_form": (_gbm, lambda *g: risk.gbm_closed_form(risk.GbmParams(*g))),
+    "two_point_profile": (_two_point, lambda *p: risk.two_point_profile(risk.TwoPointScenario(*p))),
+    "empirical_profile": (st.tuples(_draws, _capital_amounts),
+                          lambda d, L: risk.empirical_profile(risk.EmpiricalSample(d, L))),
+    "load_empirical_draws": (st.tuples(_draws, _capital_amounts), _read_draws),
+    "monte_carlo_profile": (
+        st.tuples(st.sampled_from([risk.GbmParams, risk.TwoPointScenario]), _gbm, _two_point,
+                  st.integers(1, 10**4), _rarely(st.integers(0, 2**64 - 1), numbers, 8)),
+        lambda kind, gbm, two_point, paths, seed: risk.monte_carlo_profile(
+            kind(*gbm) if kind is risk.GbmParams else kind(*two_point), risk.McConfig(paths, seed=seed))),
+    "gauss_solve": (
+        st.one_of([st.tuples(st.lists(_entries(n), min_size=n, max_size=n), _entries(n)) for n in (2, 3, 4)]),
+        verification.gauss_solve),
+    "musharakah_system": (st.tuples(_contract_args, _expectations),
+                          lambda c, e: verification.musharakah_system(c[0], c[1], *e)),
+    "solve_fairness_system": (st.tuples(_contract_args, _expectations),
+                              lambda c, e: verification.solve_fairness_system(c[0], c[1], *e)),
+    "wakalah_system": (st.tuples(_contract_args, _expectations, _terms),
+                       lambda c, e, t: verification.wakalah_system(c[0], c[2], *e, WakalahTerms(*t))),
+    "solve_wakalah_system": (
+        st.tuples(_contract_args, _expectations, _terms),
+        lambda c, e, t: verification.solve_wakalah_system(c[0], c[2], *e, WakalahTerms(*t))),
+    "verify_allocation": (st.tuples(_musharakah_variants, _contract_args, _terms, _expectations,
+                                    _rarely(st.just(1e-9), numbers, 4)), _verified),
+}
+
+
+def _floats(value: object):
+    """Every float in a result, records, tuples and lists walked."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _floats(item)
+
+
+def test_every_public_engine_function_is_called():
+    public = {name for module in (ratios, risk, verification) for name, value in vars(module).items()
+              if not name.startswith("_") and callable(value) and not isinstance(value, type)
+              and value.__module__ == module.__name__}
+    assert public | {"AllocationPlan.crossing"} == set(ENGINE_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CALLS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_an_engine_call_is_finite_or_a_contract_error(workdir, name, data):
+    strategy, call = ENGINE_CALLS[name]
+    args = data.draw(strategy)
+    if name == "load_empirical_draws":
+        args = (*args, workdir / "engine_draws.txt")
+    try:
+        result = call(*args)
+    except ContractError:
+        return
+    assert all(map(math.isfinite, _floats(result))), result
+
+
+_SPEC = ContractSpec(Variant.CFAIR_MUDHARABAH, (2, 3))
+_PROFILE = RiskProfile(1.0, 0.25)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: risk.std_normal_cdf(math.nan),
+        lambda: risk.std_normal_cdf(10**400),
+        lambda: verification.gauss_solve([[1.0, 0.0], [0.0, 1.0]], [1.0, 10**400]),
+        lambda: verification.gauss_solve([[math.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        lambda: verification.gauss_solve([[0.0, 1.0], [1.0, 1.0]], [math.inf, 0.0]),  # fsum(inf - inf)
+        lambda: verification.gauss_solve([[1e308, 1e308], [-1e308, 1e308]], [1e308, 1e308]),
+        lambda: verification.verify_allocation(ratios.allocate(_SPEC, _PROFILE), _SPEC, _PROFILE, 10**400),
+    ],
+    ids=["cdf-nan", "cdf-huge-int", "solve-huge-int", "solve-nan", "solve-inf", "solve-overflow",
+         "verify-huge-tol"],
+)
+def test_an_engine_input_without_a_finite_result_is_a_contract_error(call):
+    with pytest.raises(ContractError):
+        call()

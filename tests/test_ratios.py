@@ -24,7 +24,6 @@ from plsfair import (
     AllocationPlan,
     ContractError,
     ContractSpec,
-    DominanceRegime,
     NonViableError,
     RiskProfile,
     Variant,
@@ -35,7 +34,6 @@ from plsfair import (
     cfair_musharakah,
     cfair_musharakah_external_mudharib,
     cfair_musharakah_wakalah,
-    dominance_threshold,
     fair_mudharabah,
     payment_factor,
     sharing_weights,
@@ -520,54 +518,90 @@ class TestTwoPointFairRatio:
             two_point_fair_ratio(0.5, r_plus, r_minus, 100.0)
 
 
+def _plan(ratings, capital, variant=Variant.MUSHARAKAH_SELF_MANAGED, terms=None):
+    return AllocationPlan.for_contract(ContractSpec(variant, ratings, capital, terms))
+
+
+@st.composite
+def crossing_cases(draw):
+    """A plan of any musharakah variant and two positions among its ratio holders."""
+    variant = draw(st.sampled_from([Variant.MUSHARAKAH_SELF_MANAGED, Variant.MUSHARAKAH_EXTERNAL_MUDHARIB,
+                                    Variant.MUSHARAKAH_WAKALAH]))
+    ratings = draw(ratings_strategy)
+    d = len(ratings) if variant is Variant.MUSHARAKAH_SELF_MANAGED else len(ratings) - 1
+    capital = draw(simplex_strategy(size=d)) if d > 1 else (1.0,)
+    terms = WakalahTerms(0.05, 2.0, 4) if variant is Variant.MUSHARAKAH_WAKALAH else None
+    plan = _plan(ratings, capital, variant, terms)
+    holders = st.integers(0, len(plan.w_eff) - 1)
+    return plan, draw(holders), draw(holders)
+
+
 class TestDominance:
     def test_equal_weights_funding_decides(self):
-        report = dominance_threshold(0.25, 0.25, 0.375, 0.125)
-        assert report.regime is DominanceRegime.ALWAYS_GE
-        assert report.crossing_rho is None
+        plan = _plan((1, 1, 1, 1), (0.375, 0.125, 0.25, 0.25))
+        assert plan.w_eff[0] == plan.w_eff[1]
+        assert plan.crossing(0, 1) is None and plan.crossing(1, 0) is None
+        assert plan.gammas(0.5)[0] > plan.gammas(0.5)[1]
 
     def test_crossing_threshold(self):
-        report = dominance_threshold(0.3, 0.2, 0.1, 0.2)
-        assert report.regime is DominanceRegime.CROSSES_AT
-        assert report.crossing_rho == pytest.approx(0.5)
+        # w_eff = (0.6, 0.4): partner 0 leads on labour, partner 1 on capital.
+        plan = _plan((2, 3), (0.2, 0.8))
+        assert plan.w_eff == pytest.approx((0.6, 0.4))
+        assert plan.crossing(0, 1) == pytest.approx(0.25)
+        assert plan.crossing(1, 0) == plan.crossing(0, 1)
+        gammas = plan.gammas(plan.crossing(0, 1))
+        assert gammas[0] == pytest.approx(gammas[1])
 
     def test_identical_partners(self):
-        report = dominance_threshold(0.25, 0.25, 0.25, 0.25)
-        assert report.regime is DominanceRegime.ALWAYS_GE
-        assert report.note == "ratios identical"
+        plan = _plan((2, 2, 1), (0.25, 0.25, 0.5))
+        assert plan.crossing(0, 1) is None
+        assert plan.crossing(2, 2) is None
 
     def test_both_gaps_negative(self):
-        report = dominance_threshold(0.1, 0.3, 0.2, 0.5)
-        assert report.regime is DominanceRegime.ALWAYS_LE
+        plan = _plan((3, 1), (0.2, 0.8))
+        assert plan.crossing(0, 1) is None
+        assert all(g0 <= g1 for g0, g1 in (plan.gammas(i / 10) for i in range(11)))
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ContractError):
-            dominance_threshold(1.5, 0.2, 0.1, 0.2)
+    def test_wakalah_reads_the_funders_effective_weights(self):
+        # Funders rated (1, 2) hold w = (4/7, 2/7) of the ratings (1, 2, 4); the manager's
+        # 1/7 goes to them equally, so w_eff = (9/14, 5/14), and rho* = (2/7) / (2/7 + 0.6).
+        plan = _plan((1, 2, 4), (0.2, 0.8), Variant.MUSHARAKAH_WAKALAH, WakalahTerms(0.05, 2.0, 4))
+        assert plan.w_eff == pytest.approx((9 / 14, 5 / 14))
+        assert plan.crossing(0, 1) == pytest.approx((2 / 7) / (2 / 7 + 0.6))
 
-    def test_an_integer_beyond_the_float_range_is_named(self):
-        with pytest.raises(ContractError, match="^kappa_a is out of the float range$"):
-            dominance_threshold(0.5, 0.5, 10**400, 0.1)
+    def test_subnormal_gaps_cross_strictly_inside(self):
+        # gap_w is about 2e-316 and gap_k is -1e-310: their product underflows to 0,
+        # but their signs are opposite and the quotient is about 1.7e-6.
+        plan = _plan((1, 1e300, 1e300 * (1 + 2**-52)), (1.0, 0.0, 1e-310))
+        gap_w = plan.w_eff[1] - plan.w_eff[2]
+        assert 0.0 < gap_w < sys.float_info.min and gap_w * -1e-310 == 0.0
+        assert 0.0 < plan.crossing(1, 2) < 1.0
+        assert plan.crossing(1, 2) == pytest.approx(gap_w / (gap_w + 1e-310))
 
-    @given(
-        finite_floats(0.0, 1.0),
-        finite_floats(0.0, 1.0),
-        finite_floats(0.0, 1.0),
-        finite_floats(0.0, 1.0),
-    )
-    def test_regime_agrees_with_grid_sign_check(self, wa, wb, ka, kb):
-        report = dominance_threshold(wa, wb, ka, kb)
-        # grid includes the exact endpoints, where the gap equals each input
-        # gap exactly; sign semantics are exact, not tolerance-based
-        diffs = [
-            (wa - wb) * (1.0 - i / 100) + (ka - kb) * (i / 100) for i in range(101)
-        ]
-        if report.regime is DominanceRegime.ALWAYS_GE:
-            assert all(dv >= 0.0 for dv in diffs)
-        elif report.regime is DominanceRegime.ALWAYS_LE:
-            assert all(dv <= 0.0 for dv in diffs)
+    def test_a_crossing_that_rounds_to_one_is_pinned_inside(self):
+        plan = _plan((2, 3, 1), (1e-30, 2e-30, 1.0))
+        assert plan.crossing(0, 1) == math.nextafter(1.0, 0.0)
+
+    @pytest.mark.parametrize("position", [2, -1, 10**400, 1.0, math.nan, None])
+    def test_rejects_a_position_outside_the_plan(self, position):
+        plan = _plan((2, 3), (0.2, 0.8))
+        for a, b in ((position, 0), (0, position)):
+            with pytest.raises(ContractError, match=r"integer positions in range\(2\)$"):
+                plan.crossing(a, b)
+
+    @given(crossing_cases())
+    def test_crossing_agrees_with_grid_sign_check(self, case):
+        plan, a, b = case
+        crossing = plan.crossing(a, b)
+        # The grid holds both ends, where each gamma is exactly w_eff or kappa_eff, and rounding
+        # is monotone, so the signs of the kernel's own differences are exact, not tolerance-based.
+        diffs = [g[a] - g[b] for g in (plan.gammas(i / 100) for i in range(101))]
+        if crossing is None:
+            assert all(dv >= 0.0 for dv in diffs) or all(dv <= 0.0 for dv in diffs)
         else:
-            assert 0.0 < report.crossing_rho < 1.0
+            assert 0.0 < crossing < 1.0
             assert any(dv > 0.0 for dv in diffs) and any(dv < 0.0 for dv in diffs)
+            assert (diffs[0] > 0.0) == (plan.w_eff[a] > plan.w_eff[b])
 
 
 # ---------------------------------------------------------------------------
