@@ -52,6 +52,7 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
+    _as_float,
     _read_text,
 )
 from .ratios import AllocationPlan, _as_profile, allocate
@@ -87,7 +88,7 @@ def contract_from_dict(doc: object) -> ContractSpec:
     schema = doc.get("schema")
     if schema != 1 or isinstance(schema, bool):
         if type(schema) is int:
-            _number(schema, "field 'schema'")  # an integer beyond the float range is named, not echoed
+            _as_float(schema, "field 'schema'")  # an integer beyond the float range is named, not echoed
         raise ContractError(f"unsupported schema {schema!r}; this tool reads schema 1")
     if "variant" not in doc:
         raise ContractError("contract document is missing 'variant'")
@@ -113,14 +114,9 @@ def contract_from_dict(doc: object) -> ContractSpec:
         k = raw_terms["k"]
         if isinstance(k, float) and k.is_integer():
             k = int(k)
-        r, T = (_number(raw_terms[key], f"wakalah {key!r}") for key in ("r", "T"))
+        r, T = (_as_float(raw_terms[key], f"wakalah {key!r}") for key in ("r", "T"))
         terms = WakalahTerms(r=r, T=T, k=k)
-    return ContractSpec(
-        variant=variant,
-        ratings=_numbers(ratings, "rating"),
-        capital=_numbers(capital, "capital share") if capital is not None else None,
-        wakalah=terms,
-    )
+    return ContractSpec(variant=variant, ratings=ratings, capital=capital, wakalah=terms)
 
 
 def load_contract(path: str) -> tuple[ContractSpec, dict[str, object] | None, float | None]:
@@ -136,7 +132,7 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, object] | None, fl
         raise ContractError("'model' must be an object with a 'kind' key")
     amount = doc.get("capital_amount") if isinstance(doc, dict) else None
     if amount is not None:
-        amount = _require_number({"capital_amount": amount}, "capital_amount")
+        amount = _as_float(amount, "field 'capital_amount'")
     return spec, model, amount
 
 
@@ -155,33 +151,10 @@ def _parse_float(token: str) -> float:  # float() reads a literal such as 1e400 
 # Risk-model construction
 
 
-_JSON_NUMBER_TYPES = frozenset({int, float})
-
-
-def _number(value: object, what: str) -> float:
-    """A JSON number as a float: a string or a ``bool`` is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ContractError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range: name it, do not echo it
-        raise ContractError(f"{what} is out of the float range") from None
-
-
-def _numbers(values: list, what: str) -> tuple:
-    """The entries of a JSON array as floats, each held to :func:`_number`'s rule."""
-    if _JSON_NUMBER_TYPES.issuperset(map(type, values)):  # no call per entry in the usual case
-        try:
-            return tuple(map(float, values))
-        except OverflowError:  # an integer beyond the float range: _number names its position
-            pass
-    return tuple(_number(v, f"{what} {i}") for i, v in enumerate(values, start=1))
-
-
 def _require_number(mapping: dict[str, object], key: str) -> float:
     if key not in mapping:
         raise ContractError(f"missing numeric field {key!r}")
-    return _number(mapping[key], f"field {key!r}")
+    return _as_float(mapping[key], f"field {key!r}")
 
 
 def _require_capital_amount(amount: float | None, kind: str) -> float:

@@ -6,9 +6,11 @@ between threads. Ratings and capital shares are tuples of floats; the
 records are ``namedtuple`` subclasses. Each compares and hashes equal to a
 plain tuple of the same values. namedtuple's ``_make`` and ``_replace`` build
 a record without running ``__new__``, so they skip its checks; nothing here
-calls them. Monetary quantities are plain floats in an abstract currency
-unit; maturities are abstract period counts (no calendars or day-count
-conventions).
+calls them. Every numeric field and vector entry, here and in the risk
+records and ``verify_allocation``, is converted by :func:`_as_float`, the
+one number rule, before its own checks run. Monetary quantities are plain
+floats in an abstract currency unit; maturities are abstract period counts
+(no calendars or day-count conventions).
 """
 
 from __future__ import annotations
@@ -63,35 +65,40 @@ MANAGED_VARIANTS = frozenset(
 )
 
 
-def _as_float_tuple(values: Sequence[float], what: str, cls: type = tuple) -> tuple[float, ...]:
-    """``values`` as a ``cls`` (a tuple type) of exact floats; ``what`` names an entry."""
-    floats = []
-    try:
-        for v in values:
-            floats.append(float(v))
-    except OverflowError:  # an integer beyond the float range: name it, do not echo it
-        raise ContractError(
-            f"expected a sequence of numbers, but {what} {len(floats) + 1} is out of the float range"
-        ) from None
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"expected a sequence of numbers, got {values!r}") from exc
-    return tuple.__new__(cls, floats)
-
-
 def _as_float(value: float, what: str) -> float:
-    """``float(value)``; an integer beyond the float range is named as ``what``, not echoed."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ContractError(f"{what} is out of the float range") from None
+    """``value`` as a float, the one number rule of every record and entry point.
+
+    A ``str``, ``bytes`` or ``bool``, or anything ``float()`` refuses, is not
+    a number; an integer beyond the float range is named as ``what``, never
+    echoed. NaN and the infinities are numbers here: each caller checks the
+    range its own field needs.
+    """
+    if not isinstance(value, (str, bytes, bytearray, bool)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ContractError(f"{what} is out of the float range") from None
+        except (TypeError, ValueError):
+            pass
+    raise ContractError(f"{what} must be a number, got {value!r}")
 
 
-def _is_finite(value: float, what: str) -> bool:
-    """``math.isfinite(value)``; an integer beyond the float range is named as ``what``, not echoed."""
+_FLOAT_TYPES = frozenset({int, float})
+
+
+def _as_float_tuple(values: Sequence[float], what: str, cls: type = tuple) -> tuple[float, ...]:
+    """``values`` as a ``cls`` (a tuple type) of floats, entry N held to
+    :func:`_as_float`'s rule as ``{what} N``."""
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        raise ContractError(f"{what} is out of the float range") from None
+        values = tuple(values)
+    except TypeError:
+        raise ContractError(f"expected a sequence of numbers, got {values!r}") from None
+    if _FLOAT_TYPES.issuperset(map(type, values)):  # no call per entry in the usual case
+        try:
+            return tuple.__new__(cls, map(float, values))
+        except OverflowError:  # an integer beyond the float range: the rule below names its position
+            pass
+    return tuple.__new__(cls, [_as_float(v, f"{what} {i}") for i, v in enumerate(values, start=1)])
 
 
 class RatingVector(tuple):
@@ -174,13 +181,16 @@ class RiskProfile(namedtuple("RiskProfile", "e_profit e_loss delta se_profit se_
     def __new__(cls, e_profit: float, e_loss: float, *, delta: float | None = None,
                 se_profit: float | None = None, se_loss: float | None = None,
                 se_rho: float | None = None, se_delta: float | None = None) -> RiskProfile:
-        if not _is_finite(e_profit, "e_profit"):
+        e_profit, e_loss = _as_float(e_profit, "e_profit"), _as_float(e_loss, "e_loss")
+        if delta is not None:
+            delta = _as_float(delta, "delta")
+        if not math.isfinite(e_profit):
             raise ContractError(f"expected profit must be finite, got {e_profit}")
         if e_profit <= 0.0:
             raise ContractError(
                 f"expected profit must be positive (payoff not identically the capital), got {e_profit}"
             )
-        if not _is_finite(e_loss, "e_loss") or e_loss < 0.0:
+        if not math.isfinite(e_loss) or e_loss < 0.0:
             raise ContractError(f"expected loss must be non-negative, got {e_loss}")
         if e_loss / e_profit == math.inf:
             raise ContractError(f"the risk ratio e_loss / e_profit overflows at {e_loss} / {e_profit}")
@@ -252,10 +262,7 @@ class WakalahTerms(namedtuple("WakalahTerms", "r T k")):
     __slots__ = ()
 
     def __new__(cls, r: float, T: float, k: int) -> WakalahTerms:
-        try:
-            r, T = float(r), float(T)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ContractError(f"discount rate and maturity must be numbers, got {r!r} and {T!r}") from exc
+        r, T = _as_float(r, "r"), _as_float(T, "T")
         if not math.isfinite(r) or r < 0.0:
             raise ContractError(f"discount rate must be finite and >= 0, got {r}")
         if not math.isfinite(T) or T <= 0.0:
@@ -356,6 +363,8 @@ class Allocation(namedtuple("Allocation", "gammas payoffs periodic_payment")):
     def __new__(cls, *, gammas: Sequence[float], payoffs: Sequence[float],
                 periodic_payment: float | None = None) -> Allocation:
         gammas, payoffs = _as_float_tuple(gammas, "gamma"), _as_float_tuple(payoffs, "payoff")
+        if periodic_payment is not None:
+            periodic_payment = _as_float(periodic_payment, "periodic_payment")
         return tuple.__new__(cls, (gammas, payoffs, periodic_payment))
 
     def __getnewargs_ex__(self):  # pickle and copy rebuild through the keyword-only __new__

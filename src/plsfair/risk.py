@@ -37,7 +37,7 @@ from functools import partial
 from itertools import islice
 from os import PathLike
 
-from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _as_float, _is_finite, _read_text
+from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _as_float, _read_text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -66,10 +66,12 @@ def std_normal_cdf(x: float) -> float:
     return cdf
 
 
-def _require_capital(L: float) -> None:
-    """The one rule for the capital L of every model: a finite positive amount."""
-    if not _is_finite(L, "L") or L <= 0.0:
+def _require_capital(L: float) -> float:
+    """The one rule for the capital L of every model: a finite positive amount, as a float."""
+    L = _as_float(L, "L")
+    if not math.isfinite(L) or L <= 0.0:
         raise ContractError(f"capital must be positive, got {L}")
+    return L
 
 
 class GbmParams(namedtuple("GbmParams", "mu sigma T L")):
@@ -84,14 +86,14 @@ class GbmParams(namedtuple("GbmParams", "mu sigma T L")):
     __slots__ = ()
 
     def __new__(cls, mu: float, sigma: float, T: float, L: float) -> GbmParams:
-        if not _is_finite(mu, "mu"):
+        mu, sigma, T = _as_float(mu, "mu"), _as_float(sigma, "sigma"), _as_float(T, "T")
+        if not math.isfinite(mu):
             raise ContractError(f"drift must be finite, got {mu}")
-        if not _is_finite(sigma, "sigma") or sigma <= 0.0:
+        if not math.isfinite(sigma) or sigma <= 0.0:
             raise ContractError(f"volatility must be positive, got {sigma}")
-        if not _is_finite(T, "T") or T <= 0.0:
+        if not math.isfinite(T) or T <= 0.0:
             raise ContractError(f"horizon must be positive, got {T}")
-        _require_capital(L)
-        mu, sigma, T, L = float(mu), float(sigma), float(T), float(L)  # no integer arithmetic below
+        L = _require_capital(L)
         mu_t = mu * T
         if mu_t > LOG_FLOAT_MAX or not math.isfinite(L * math.exp(mu_t)):
             raise ContractError(f"expected income L e^(mu T) overflows at mu T = {mu_t}, L = {L}")
@@ -104,13 +106,13 @@ class TwoPointScenario(namedtuple("TwoPointScenario", "beta r_plus r_minus L")):
     __slots__ = ()
 
     def __new__(cls, beta: float, r_plus: float, r_minus: float, L: float) -> TwoPointScenario:
-        if not _is_finite(beta, "beta") or not 0.0 < beta <= 1.0:
+        beta, r_plus, r_minus = _as_float(beta, "beta"), _as_float(r_plus, "r_plus"), _as_float(r_minus, "r_minus")
+        if not math.isfinite(beta) or not 0.0 < beta <= 1.0:
             raise ContractError(f"success probability must lie in (0, 1], got {beta}")
         for name, v in (("r_plus", r_plus), ("r_minus", r_minus)):
-            if not _is_finite(v, name):
+            if not math.isfinite(v):
                 raise ContractError(f"{name} must be finite, got {v}")
-        _require_capital(L)
-        beta, r_plus, r_minus, L = float(beta), float(r_plus), float(r_minus), float(L)
+        L = _require_capital(L)
         if not r_plus > L:
             raise ContractError(f"success revenue {r_plus} must exceed the capital {L}")
         if not r_minus <= L:
@@ -147,8 +149,7 @@ class EmpiricalSample(namedtuple("EmpiricalSample", "draws L")):
         if not valid.all():
             i = int(valid.argmin())
             raise ContractError(f"draw {i + 1} must be a finite non-negative income, got {float(values[i])}")
-        _require_capital(L)
-        return tuple.__new__(cls, (values, L))
+        return tuple.__new__(cls, (values, _require_capital(L)))
 
 
 class McConfig(namedtuple("McConfig", "n_paths seed chunk_size")):
@@ -157,11 +158,12 @@ class McConfig(namedtuple("McConfig", "n_paths seed chunk_size")):
     __slots__ = ()
 
     def __new__(cls, n_paths: int, seed: int = 0, chunk_size: int = 1 << 18) -> McConfig:
-        if not isinstance(n_paths, int) or n_paths < 1:
+        # A bool is not an integer here, as for WakalahTerms.k.
+        if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
             raise ContractError(f"n_paths must be a positive integer, got {n_paths!r}")
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ContractError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        if not isinstance(chunk_size, int) or chunk_size < 1:
+        if isinstance(chunk_size, bool) or not isinstance(chunk_size, int) or chunk_size < 1:
             raise ContractError(f"chunk_size must be a positive integer, got {chunk_size!r}")
         return tuple.__new__(cls, (n_paths, seed, chunk_size))
 

@@ -28,7 +28,7 @@ from .contracts import (
     RiskProfile,
     Variant,
     WakalahTerms,
-    _is_finite,
+    _as_float,
 )
 from .ratios import annuity_pv, discount_factor
 
@@ -219,7 +219,8 @@ def verify_allocation(
     infinite residual and never passes, whatever ``tol``, which must be a
     finite number >= 0.
     """
-    if not (_is_finite(tol, "tol") and tol >= 0.0):
+    tol = _as_float(tol, "tol")
+    if not (math.isfinite(tol) and tol >= 0.0):
         raise ContractError(f"tol must be a finite number >= 0, got {tol!r}")
     c, kappa, terms = spec.ratings, spec.kappa_eff, spec.wakalah
     gammas = alloc.gammas

@@ -28,6 +28,7 @@ from plsfair import (
     Variant,
     VerificationReport,
     WakalahTerms,
+    verify_allocation,
 )
 from plsfair.cli import contract_from_dict
 
@@ -363,10 +364,18 @@ class TestContractSpec:
         with pytest.raises(ContractError, match="requires capital"):
             ContractSpec(Variant.FAIR_MUDHARABAH, (1, 1), capital)
 
-    @pytest.mark.parametrize("ratings", [5, (10**400, 1), ("x", 1)])
-    def test_unconvertible_ratings_are_contract_errors(self, ratings):
-        with pytest.raises(ContractError, match="sequence of numbers"):
+    @pytest.mark.parametrize(
+        "ratings, message",
+        [
+            (5, "expected a sequence of numbers, got 5"),
+            ((10**400, 1), "rating 1 is out of the float range"),
+            (("x", 1), "rating 1 must be a number, got 'x'"),
+        ],
+    )
+    def test_unconvertible_ratings_are_contract_errors(self, ratings, message):
+        with pytest.raises(ContractError) as caught:
             ContractSpec(Variant.CFAIR_MUDHARABAH, ratings)
+        assert str(caught.value) == message
 
     def test_coercion_keeps_validated_vectors(self):
         ratings, capital = RatingVector((1.0, 2.0)), CapitalShares((0.5, 0.5))
@@ -401,6 +410,66 @@ def test_records_survive_pickle_and_copy_and_are_frozen(record):
             assert again == record
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
+
+
+# ---------------------------------------------------------------------------
+# One number rule for every numeric field and entry
+
+
+_PROFILE = RiskProfile(2.0, 1.0)
+#: Each numeric field or vector entry of the records: (its name in an error, a build that
+#: puts a value there, whether None there means the field is not given).
+NUMERIC_FIELDS = [
+    ("mu", lambda v: GbmParams(v, 0.2, 1.0, 100.0), False),
+    ("sigma", lambda v: GbmParams(0.1, v, 1.0, 100.0), False),
+    ("T", lambda v: GbmParams(0.1, 0.2, v, 100.0), False),
+    ("L", lambda v: GbmParams(0.1, 0.2, 1.0, v), False),
+    ("beta", lambda v: TwoPointScenario(v, 120.0, 90.0, 100.0), False),
+    ("r_plus", lambda v: TwoPointScenario(0.5, v, 90.0, 100.0), False),
+    ("r_minus", lambda v: TwoPointScenario(0.5, 120.0, v, 100.0), False),
+    ("L", lambda v: TwoPointScenario(0.5, 120.0, 90.0, v), False),
+    ("L", lambda v: EmpiricalSample((120.0, 90.0), v), False),
+    ("e_profit", lambda v: RiskProfile(v, 1.0), False),
+    ("e_loss", lambda v: RiskProfile(2.0, v), False),
+    ("delta", lambda v: RiskProfile(2.0, 1.0, delta=v), True),
+    ("rho", lambda v: RiskProfile.from_rho(v), False),
+    ("delta", lambda v: RiskProfile.from_rho(0.3, delta=v), True),
+    ("e_profit", lambda v: RiskProfile.from_rho(0.3, e_profit=v), True),
+    ("r", lambda v: WakalahTerms(v, 2.0, 4), False),
+    ("T", lambda v: WakalahTerms(0.05, v, 4), False),
+    ("tol", lambda v: verify_allocation(Allocation(gammas=(0.5, 0.5), payoffs=()), _SPEC, _PROFILE, v), False),
+    ("rating 2", lambda v: RatingVector((2.0, v)), False),
+    ("capital share 2", lambda v: CapitalShares((0.5, v)), False),
+    ("gamma 2", lambda v: Allocation(gammas=(0.5, v), payoffs=()), False),
+    ("payoff 2", lambda v: Allocation(gammas=(), payoffs=(1.0, v)), False),
+    ("periodic_payment", lambda v: Allocation(gammas=(), payoffs=(), periodic_payment=v), True),
+]
+
+
+_NOT_NUMBERS = {"str": "0.5", "bool": True, "None": None, "list": [1.0], "huge-int": 10**400}
+
+
+@pytest.mark.parametrize("name, build, value", [
+    pytest.param(name, build, value, id=f"{i}-{name}-{kind}")
+    for i, (name, build, optional) in enumerate(NUMERIC_FIELDS)
+    for kind, value in _NOT_NUMBERS.items()
+    if not (optional and value is None)  # None leaves an optional field out
+])
+def test_every_numeric_field_holds_one_number_rule(name, build, value):
+    with pytest.raises(ContractError) as caught:
+        build(value)
+    rule = "is out of the float range" if value == 10**400 else f"must be a number, got {value!r}"
+    assert str(caught.value) == f"{name} {rule}"
+
+
+def test_integer_fields_are_stored_as_floats_and_never_as_bools():
+    profile = RiskProfile(2, 1, delta=1)
+    assert all(type(v) is float for v in profile[:3])
+    terms = WakalahTerms(0, 2, 4)
+    assert type(terms.r) is float and type(terms.T) is float
+    assert type(Allocation(gammas=(1, 0), payoffs=(), periodic_payment=3).periodic_payment) is float
+    with pytest.raises(ContractError, match="^e_profit must be a number, got True$"):
+        RiskProfile(True, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Input fuzzing: arbitrary contract documents never trace back, and the
-library keeps the same promise.
+"""Input fuzzing: arbitrary contract documents and command lines never
+trace back, and the library keeps the same promise.
 
 Every document, however malformed, must end ``allocate``, ``sweep`` and
 ``verify`` with a documented exit code (0, 1, 2 or 3); an input error is
 reported on a single ``error:`` line. The draws path of an empirical model
 is one of three names next to the contract file (a valid draws file, a
 missing name, a directory), so no example reads outside the test's own
-directory. Every public function of the ratio engine, the risk engine and
-the verifier, called on the same number pool, returns only finite floats
-or raises a ``ContractError``.
+directory. Command lines of all four subcommands, with flag values from
+the same number pool and its text forms, keep that promise too. Every
+public function of the ratio engine, the risk engine and the verifier,
+called on the same number pool, returns only finite floats or raises a
+``ContractError``.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
     max_leaves=8,
 )
-#: Any JSON number, including the extremes and integers beyond the float range.
+#: Any JSON number, including the extremes and integers beyond the float range, and three
+#: values that are not numbers though float() or an isinstance(v, int) check takes two of them.
 numbers = st.one_of(
     st.integers(-3, 100),
     st.floats(),
-    st.sampled_from([10**400, -(10**400), 1e-320, 1e300, 1e6, 0.05, -700.0, 0.0]),
+    st.sampled_from([10**400, -(10**400), 1e-320, 1e300, 1e6, 0.05, -700.0, 0.0, "2", True, None]),
 )
 #: JSON values that float() would turn into numbers, which a contract rejects.
 number_like = st.sampled_from(["2", " 3 ", "1e0", "0.5", True, False])
@@ -186,6 +189,101 @@ def test_no_exception_escapes_the_cli(workdir, doc):
         if code in (1, 2):
             message = err.getvalue()
             assert message.startswith("error: ") and message.count("\n") == 1, message
+
+
+# ---------------------------------------------------------------------------
+# The command line: any argv ends in a documented exit
+
+
+#: Flag values: the number pool as text, and text forms that float() and int() read or refuse.
+flag_values = numbers.map(str) | st.sampled_from(
+    ["1e400", "-1e400", "inf", "-inf", "-Infinity", "nan", "-nan", "1_000", "-5e-2", " 2 ", "0x10", "",
+     "x", str(10**400), str(-(10**400))]
+)
+#: --paths and --steps: at most 10^4, one Monte Carlo chunk, so no worker thread starts.
+_counts = _rarely(st.integers(1, 10**4).map(str), st.sampled_from(["0", "-3", "1e4", "1_000", "nan", "x", ""]), 8)
+_RISK_FLAGS = {"--mu": (-1.0, 1.0), "--sigma": (0.01, 1.0), "--T": (0.1, 10.0), "--L": (50.0, 150.0),
+               "--beta": (0.0, 1.0), "--r-plus": (50.0, 200.0), "--r-minus": (0.0, 150.0),
+               "--rho": (0.0, 1.2), "--delta": (-10.0, 10.0)}
+_MODEL_FLAGS = {"gbm": {"--mu", "--sigma", "--T", "--L"}, "two-point": {"--beta", "--r-plus", "--r-minus", "--L"},
+                "empirical": {"--data", "--L"}, "fixed-rho": {"--rho"}}
+_ARGV_CONTRACTS = {
+    "gbm.json": _gbm(0.1, 0.2),
+    "wakalah.json": _wakalah_doc(r=0.05),
+    "empirical.json": _empirical("draws.txt"),
+    "nonviable.json": {**_wakalah_doc(), "model": {"kind": "fixed_rho", "rho": 1.5}},
+    # rho = 1/2 gives the fair ratios (0.75, 0.25), which verify passes
+    "fair.json": {"schema": 1, "variant": "fair_mudharabah", "ratings": [1, 1],
+                  "model": {"kind": "fixed_rho", "rho": 0.5}},
+}
+_gammas = st.sampled_from(["0.75,0.25", "0.5,0.5", "0.25,0.75", "0.5,0.25,0.25", "1e308,1e308"]) | st.lists(
+    flag_values, min_size=1, max_size=3).map(",".join)
+
+
+def _flag_value(lo: float, hi: float) -> st.SearchStrategy:
+    return _rarely(st.floats(lo, hi).map(repr), flag_values, 8)
+
+
+def _argv(data, root) -> list[str]:
+    """A command line of one subcommand: mostly the flags it needs, with plausible values,
+    now and then a value from the flag pool, a flag it does not take, or a bad path."""
+    command = data.draw(st.sampled_from(["risk", "allocate", "sweep", "verify"]))
+    # (flag, its values, the chance in ten that it is given)
+    flags: list[tuple[str, st.SearchStrategy, int]] = []
+    if command == "risk":
+        model = data.draw(_rarely(st.sampled_from(list(_MODEL_FLAGS)), st.just("bogus"), 10))
+        argv = [command, "--model", model]
+        needed = _MODEL_FLAGS.get(model, set())
+        flags += [(flag, _flag_value(lo, hi), 10 if flag in needed else 1) for flag, (lo, hi) in _RISK_FLAGS.items()]
+        if "--data" in needed:
+            flags.append(("--data", st.sampled_from([str(root / name) for name in DRAWS_PATHS]), 10))
+    else:
+        bad_paths = st.sampled_from(["missing.json", "subdir"])
+        argv = [command, str(root / data.draw(_rarely(st.sampled_from(sorted(_ARGV_CONTRACTS)), bad_paths, 8)))]
+    if command == "sweep":
+        outputs = st.sampled_from(["-", str(root / "sweep.csv"), str(root / "subdir")])
+        flags += [("--rho-from", _flag_value(0.0, 0.5), 5), ("--rho-to", _flag_value(0.5, 1.0), 5),
+                  ("--steps", _counts, 7), ("-o", outputs, 5)]
+    else:
+        argv += [flag for flag, chance in (("--json", 5), ("--simulate", 3)) if data.draw(st.integers(0, 9)) < chance]
+        # --paths is always given, so no run takes the default of 10^6 paths.
+        flags += [("--seed", _rarely(st.integers(0, 2**64 - 1).map(str), flag_values, 8), 3),
+                  ("--paths", _counts, 10)]
+    if command in ("allocate", "verify"):
+        flags.append(("--tol", _rarely(st.just("1e-9"), flag_values, 8), 3))
+    if command == "verify":
+        flags += [("--gammas", _gammas, 10), ("--p", _rarely(st.floats(0.0, 1.0).map(repr), flag_values, 8), 5)]
+    for flag, values, chance in flags:
+        if data.draw(st.integers(0, 9)) < chance:
+            value = data.draw(values)
+            argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+    if data.draw(_rarely(st.just(False), st.just(True), 10)):  # a flag of another subcommand, or none
+        argv += [data.draw(st.sampled_from(["--tol", "--steps", "--mu", "--gammas", "--bogus"])), "1"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(workdir):
+    for name, doc in _ARGV_CONTRACTS.items():
+        (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+    return workdir
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_no_command_line_traces_back(argv_dir, data):
+    argv = _argv(data, argv_dir)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in message, (argv, message)
+    if code == 2 and argv[0] == "risk":  # risk prints a non-viable profile, and says so
+        assert message == "" and ('"viable": false' in out.getvalue() or "not viable" in out.getvalue())
+    elif code in (1, 2):
+        assert sum("error:" in line for line in message.splitlines()) == 1, (argv, message)
+    if "--json" in argv and (code in (0, 3) or out.getvalue()):  # strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -685,6 +685,20 @@ class TestMonteCarlo:
         with pytest.raises(ContractError):
             McConfig(n_paths=10, chunk_size=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_paths=True, seed=True), "n_paths must be a positive integer, got True"),
+            (dict(n_paths=10, seed=True), "seed must be an unsigned 64-bit integer, got True"),
+            (dict(n_paths=10, seed=False), "seed must be an unsigned 64-bit integer, got False"),
+            (dict(n_paths=10, chunk_size=True), "chunk_size must be a positive integer, got True"),
+        ],
+    )
+    def test_a_bool_is_not_an_integer(self, kwargs, message):
+        with pytest.raises(ContractError) as caught:
+            McConfig(**kwargs)
+        assert str(caught.value) == message
+
     def test_unsupported_model(self):
         with pytest.raises(ContractError):
             monte_carlo_profile("not a model", McConfig(n_paths=10))
