@@ -123,7 +123,9 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, object] | None, fl
     """Read a contract file; returns (spec, model section, capital amount)."""
     text = _read_text(path, "contract")
     try:
-        doc = json.loads(text, parse_constant=_reject_constant, parse_float=_parse_float)
+        if text.startswith("\ufeff"):  # json.loads's own check, which JSONDecoder.decode leaves out
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _CONTRACT_DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, a non-JSON constant or number, deep nesting
         raise ContractError(f"{path}: not valid JSON: {exc}") from exc
     spec = contract_from_dict(doc)
@@ -145,6 +147,10 @@ def _parse_float(token: str) -> float:  # float() reads a literal such as 1e400 
     if math.isinf(value):
         raise ContractError(f"{token} is out of the float range")
     return value
+
+
+#: Shared by every load, as json's own default decoder is: json.loads with hooks builds a decoder per call.
+_CONTRACT_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_parse_float)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +278,18 @@ def _profile_payload(profile: RiskProfile) -> dict[str, object]:
 
 
 def _print_profile(profile: RiskProfile) -> None:
-    print(f"e_profit: {_fmt(profile.e_profit)}")
-    print(f"e_loss:   {_fmt(profile.e_loss)}")
-    print(f"rho:      {_fmt(profile.rho)}")
-    print(f"delta:    {_fmt(profile.delta)}")
+    lines = [
+        f"e_profit: {_fmt(profile.e_profit)}",
+        f"e_loss:   {_fmt(profile.e_loss)}",
+        f"rho:      {_fmt(profile.rho)}",
+        f"delta:    {_fmt(profile.delta)}",
+    ]
     if profile.se_profit is not None:
-        print(f"se(e_profit): {_fmt(profile.se_profit)}   se(e_loss): {_fmt(profile.se_loss)}")
+        lines.append(f"se(e_profit): {_fmt(profile.se_profit)}   se(e_loss): {_fmt(profile.se_loss)}")
     if profile.se_rho is not None:
-        print(f"se(rho):      {_fmt(profile.se_rho)}   se(delta):  {_fmt(profile.se_delta)}")
-    print(f"viable:   {'yes' if profile.viable() else 'no (rho > 1: not viable)'}")
+        lines.append(f"se(rho):      {_fmt(profile.se_rho)}   se(delta):  {_fmt(profile.se_delta)}")
+    lines.append(f"viable:   {'yes' if profile.viable() else 'no (rho > 1: not viable)'}")
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +351,24 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload))
     else:
-        print(f"variant: {spec.variant.value}")
-        print(f"rho: {_fmt(profile.rho)}   delta: {_fmt(profile.delta)}")
-        for i, g in enumerate(alloc.gammas, start=1):
-            print(f"partner {i}: gamma = {_fmt(g)}   payoff = {_fmt(alloc.payoffs[i - 1])}")
+        lines = [
+            f"variant: {spec.variant.value}",
+            f"rho: {_fmt(profile.rho)}   delta: {_fmt(profile.delta)}",
+        ]
+        for i, (g, payoff) in enumerate(zip(alloc.gammas, alloc.payoffs), start=1):
+            lines.append(f"partner {i}: gamma = {_fmt(g)}   payoff = {_fmt(payoff)}")
         if alloc.periodic_payment is not None:
-            print(
+            lines.append(
                 f"manager (partner {spec.partner_count}): p = {_fmt(alloc.periodic_payment)}"
                 f" paid {spec.wakalah.k} times   payoff = {_fmt(alloc.payoffs[-1])}"
             )
-        print(f"payoffs valued at: {alloc.valuation}")
+        lines.append(f"payoffs valued at: {alloc.valuation}")
         status = "OK" if report.passed else "FAILED"
-        print(
+        lines.append(
             f"verification: residual {_fmt(report.max_fairness_residual)}, "
             f"simplex defect {_fmt(report.simplex_residual)} (tol {args.tol:g}) -> {status}"
         )
+        print("\n".join(lines))
     return 0 if report.passed else 3
 
 
@@ -553,6 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     negative_number = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = negative_number
+    parser._commands = sub.choices  # main hands a command line that starts with a name to its parser
     return parser
 
 
@@ -561,12 +574,28 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     ``argv`` defaults to ``sys.argv[1:]``. Output goes to the current
     ``sys.stdout`` and ``sys.stderr``. ``main`` may be called any number of
-    times in one process; every call parses with the one parser of
+    times in one process; every call parses with the parsers of
     ``build_parser``, and no call sees the arguments of another.
+
+    A command line whose first word names a command is parsed by that
+    command's parser alone, as the top-level parser would hand it on, and a
+    word left over is refused with the top-level usage line, as
+    ``parse_args`` refuses it; every other command line (empty, an option
+    or ``--`` first, an unknown command) goes to the top-level parser. So
+    each command line prints and exits as one top-level ``parse_args``
+    would have it, without the second parse.
     """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser._commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
+            args.command = argv[0]
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if not hasattr(args, "func"):

@@ -68,12 +68,15 @@ MANAGED_VARIANTS = frozenset(
 def _as_float(value: float, what: str) -> float:
     """``value`` as a float, the one number rule of every record and entry point.
 
-    A ``str``, ``bytes`` or ``bool``, or anything ``float()`` refuses, is not
-    a number; an integer beyond the float range is named as ``what``, never
-    echoed. NaN and the infinities are numbers here: each caller checks the
-    range its own field needs.
+    A ``str``, ``bytes`` or ``bool`` (Python's or numpy's), or anything
+    ``float()`` refuses, is not a number; an integer beyond the float range
+    is named as ``what``, never echoed. NaN and the infinities are numbers
+    here: each caller checks the range its own field needs.
     """
-    if not isinstance(value, (str, bytes, bytearray, bool)):
+    numpy = sys.modules.get("numpy")  # numpy's bool_ is no bool subclass, and none exists before numpy loads
+    if not isinstance(value, (str, bytes, bytearray, bool)) and not (
+        numpy is not None and isinstance(value, numpy.bool_)
+    ):
         try:
             return float(value)
         except OverflowError:
@@ -92,7 +95,7 @@ def _as_float_tuple(values: Sequence[float], what: str, cls: type = tuple) -> tu
     try:
         values = tuple(values)
     except TypeError:
-        raise ContractError(f"expected a sequence of numbers, got {values!r}") from None
+        raise ContractError(f"expected a sequence of numbers, got {type(values).__name__}") from None
     if _FLOAT_TYPES.issuperset(map(type, values)):  # no call per entry in the usual case
         try:
             return tuple.__new__(cls, map(float, values))

@@ -163,8 +163,9 @@ class AllocationPlan(namedtuple("AllocationPlan", "weights w_eff kappa_eff terms
         below rho* iff gap_w > 0. Any other pair of gaps, a == b among them,
         gives None.
         """
-        if not all(isinstance(i, int) and 0 <= i < len(self.w_eff) for i in (a, b)):
-            raise ContractError(f"partners a and b must be integer positions in range({len(self.w_eff)})")
+        d = len(self.w_eff)  # a bool is not a position here, as for WakalahTerms.k
+        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < d for i in (a, b)):
+            raise ContractError(f"partners a and b must be integer positions in range({d})")
         gap_w = self.w_eff[a] - self.w_eff[b]
         gap_k = self.kappa_eff[a] - self.kappa_eff[b]
         if not (gap_w > 0.0 > gap_k or gap_w < 0.0 < gap_k):  # signs: a product of subnormals is 0

@@ -25,7 +25,8 @@ from plsfair import (
     WakalahTerms,
     verify_allocation,
 )
-from plsfair.cli import contract_from_dict, main, profile_from_model
+from plsfair.cli import build_parser, contract_from_dict, main, profile_from_model
+from plsfair.contracts import ContractError, NonViableError
 
 FIGURE_SWEEP_CONTRACT = {
     "schema": 1,
@@ -654,6 +655,14 @@ class TestAllocateCommand:
         code, _, _ = run(capsys, ["allocate", str(path)])
         assert code == 1
 
+    def test_a_byte_order_mark_keeps_the_json_loads_message(self, capsys, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_text('\ufeff{"schema": 1}', encoding="utf-8")
+        assert run(capsys, ["allocate", str(path)]) == (
+            1, "", f"error: {path}: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)\n",
+        )
+
 
 class TestSweepCommand:
     def test_figure_style_sweep(self, capsys, tmp_path):
@@ -1073,6 +1082,72 @@ class TestTopLevel:
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, ["--help"])
         assert code == 0
+
+
+def reference_main(argv):
+    """``main`` through one top-level ``parse_args``, which hands a command's
+    arguments on to that command's parser: the route ``main`` shortcuts."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
+    if not hasattr(args, "func"):
+        parser.print_help(sys.stderr)
+        return 1
+    try:
+        return args.func(args)
+    except NonViableError as exc:
+        print(f"error: not viable: {exc}", file=sys.stderr)
+        return 2
+    except ContractError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+#: Command lines on each side of main's dispatch: a command's name first, or anything else.
+DISPATCH_CORPUS = [
+    ["risk", "-h"],
+    ["allocate", "-h"],
+    ["sweep", "-h"],
+    ["verify", "-h"],
+    ["allocate"],
+    ["allocate", "contract.json", "--bogus"],
+    ["allocate", "contract.json", "--js"],
+    ["allocate", "--", "contract.json"],
+    ["allocate", "contract.json", "contract.json"],
+    ["allocate", "contract.json"],
+    ["allocate", "contract.json", "--json", "--tol=1e-3"],
+    [],
+    ["--help"],
+    ["nope"],
+    ["-h", "allocate"],
+    ["--", "allocate", "x"],
+    ["sweep", "contract.json", "--steps", "1e3"],
+    ["sweep", "contract.json", "--steps", "3"],
+    ["verify", "contract.json", "--gammas", "0.9,0.1"],
+    ["risk", "--model", "fixed-rho", "--rho", "0.3", "extra"],
+    ["risk", "--model", "fixed-rho", "--rho", "1.5"],
+]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+    def test_same_bytes_and_exit_as_the_top_level_parse(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+        write_contract(
+            tmp_path, {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+                       "model": {"kind": "fixed_rho", "rho": 0.25}},
+        )
+        code = reference_main(argv)
+        captured = capsys.readouterr()
+        assert run(capsys, argv) == (code, captured.out, captured.err)
+
+    def test_a_word_left_over_is_refused_with_the_top_level_usage(self, capsys):
+        assert run(capsys, ["risk", "--model", "fixed-rho", "--rho", "0.3", "a", "--bogus"]) == (
+            1, "", "usage: plsfair [-h] command ...\nplsfair: error: unrecognized arguments: a --bogus\n"
+        )
 
 
 class TestUnreadableInputs:

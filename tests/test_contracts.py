@@ -367,7 +367,7 @@ class TestContractSpec:
     @pytest.mark.parametrize(
         "ratings, message",
         [
-            (5, "expected a sequence of numbers, got 5"),
+            (5, "expected a sequence of numbers, got int"),
             ((10**400, 1), "rating 1 is out of the float range"),
             (("x", 1), "rating 1 must be a number, got 'x'"),
         ],
@@ -446,7 +446,8 @@ NUMERIC_FIELDS = [
 ]
 
 
-_NOT_NUMBERS = {"str": "0.5", "bool": True, "None": None, "list": [1.0], "huge-int": 10**400}
+_NOT_NUMBERS = {"str": "0.5", "bool": True, "numpy-bool": np.True_, "None": None, "list": [1.0],
+                "huge-int": 10**400}
 
 
 @pytest.mark.parametrize("name, build, value", [
@@ -458,8 +459,23 @@ _NOT_NUMBERS = {"str": "0.5", "bool": True, "None": None, "list": [1.0], "huge-i
 def test_every_numeric_field_holds_one_number_rule(name, build, value):
     with pytest.raises(ContractError) as caught:
         build(value)
-    rule = "is out of the float range" if value == 10**400 else f"must be a number, got {value!r}"
+    rule = "is out of the float range" if type(value) is int else f"must be a number, got {value!r}"
     assert str(caught.value) == f"{name} {rule}"
+
+
+@pytest.mark.parametrize("cls, what", [(RatingVector, "rating"), (CapitalShares, "capital share")])
+def test_a_numpy_bool_array_is_no_vector_of_numbers(cls, what):
+    with pytest.raises(ContractError, match=f"^{what} 1 must be a number, got "):
+        cls(np.array([True, False]))
+
+
+@pytest.mark.parametrize("cls", [RatingVector, CapitalShares])
+@pytest.mark.parametrize("values", [10**400, 0.5, object()], ids=["huge-int", "float", "object"])
+def test_a_non_sequence_is_named_by_its_type(cls, values):
+    with pytest.raises(ContractError) as caught:
+        cls(values)
+    assert str(caught.value) == f"expected a sequence of numbers, got {type(values).__name__}"
+    assert len(str(caught.value)) < 100
 
 
 def test_integer_fields_are_stored_as_floats_and_never_as_bools():

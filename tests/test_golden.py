@@ -1,12 +1,12 @@
 """Byte-level regression guard on the CLI's numeric output.
 
-For one contract of each variant, the sha256 of ``allocate --json`` stdout
-and of a 2001-step ``sweep`` CSV are pinned. Any change to the ratio engine,
-the verifier or the formatting that moves a single bit of a printed float
-changes a digest. The digests were recorded with CPython 3.11 on x86-64
-Linux (glibc libm); the wakalah contract goes through ``log1p``/``expm1``,
-so a platform whose libm rounds those differently may disagree in the last
-bit.
+For one contract of each variant, the sha256 of ``allocate --json`` stdout,
+of a 2001-step ``sweep`` CSV and of the ``allocate`` text report are pinned.
+Any change to the ratio engine, the verifier or the formatting that moves a
+single bit of a printed float, or a character of a report, changes a
+digest. The digests were recorded with CPython 3.11 on x86-64 Linux (glibc
+libm); the wakalah contract goes through ``log1p``/``expm1``, so a platform
+whose libm rounds those differently may disagree in the last bit.
 """
 
 from __future__ import annotations
@@ -60,22 +60,27 @@ GOLDEN = {
     "cfair_mudharabah": (
         "7ad6c3534061cf743d513e9a0dcff4cb231e19868164136711eb209a50646b81",
         "1b39c9c0310ddbe3ac0e7b8bbc7281d7959d62caba2538b03cd6bb8b903100bc",
+        "840ae220f7b46c833f097a263e6ffe866eeecc5632d9f0ba2f9a1b4877685f42",
     ),
     "fair_mudharabah": (
         "8e800a1d0e31f3428f9990b03f3ce020d19dc8c4391dbc228155addb3aa5669a",
         "69c66518b2c6547b448dc57dec44d33f1482e148cc0879d228ac14ec2b033899",
+        "be5377237243d8868458b9951eb1714f1c209b8de59619eb719d3e07c6a0e0e6",
     ),
     "musharakah_external_mudharib": (
         "b77ad3021a1642c088130176388f7036580f0eddb0a508839059d3e8cdd89e5c",
         "9c888d13208f9b2eb67482187fa93f8753e900a7d410a9faabc7ad657bb95679",
+        "3f09d630e43a7fed37cfed53b6e9010f1ad32c60487332a126b409a33e441dfe",
     ),
     "musharakah_self_managed": (
         "ae4bc0c4460693a7d7f634277cd1c3834c2bd3b78a81e1ae219c718600a099f1",
         "3673d4ee8d70efc160d880e2b52bbb6f6cd857f41797dc6bce30ae11698662e2",
+        "f64164ea21cd0cf426f66ddffbf7fd4a904cba4782867633fa24a6aaf90a806c",
     ),
     "musharakah_wakalah": (
         "d3f51009dd86b4e57aa3c3ebf10e4ec2316b491112997559c7bf7143f579d463",
         "b308b62b5d46417226beec5c9f22dbac8842cc313e0671bda5d032a97ec2bc81",
+        "b2d88a5f8aa441aa1bc229dc4ecd1be4b9b9c5614c5690f444c3092118b571b7",
     ),
 }
 
@@ -87,9 +92,12 @@ def _digests(tmp_path, capsys, name):
     allocate_out = capsys.readouterr().out.encode("utf-8")
     csv_path = tmp_path / f"{name}.csv"
     assert main(["sweep", str(contract), "--steps", "2001", "-o", str(csv_path)]) == 0
+    assert main(["allocate", str(contract)]) == 0
+    report_out = capsys.readouterr().out.encode("utf-8")
     return (
         hashlib.sha256(allocate_out).hexdigest(),
         hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        hashlib.sha256(report_out).hexdigest(),
     )
 
 

@@ -582,7 +582,7 @@ class TestDominance:
         plan = _plan((2, 3, 1), (1e-30, 2e-30, 1.0))
         assert plan.crossing(0, 1) == math.nextafter(1.0, 0.0)
 
-    @pytest.mark.parametrize("position", [2, -1, 10**400, 1.0, math.nan, None])
+    @pytest.mark.parametrize("position", [2, -1, 10**400, 1.0, math.nan, None, False, True])
     def test_rejects_a_position_outside_the_plan(self, position):
         plan = _plan((2, 3), (0.2, 0.8))
         for a, b in ((position, 0), (0, position)):
