@@ -177,7 +177,8 @@ def _interval_mass(theta: float, s: float) -> float:
     a = -theta - s if theta > 0.0 else theta
     if s * max(1.0, abs(a)) < 0.5:
         h, mid = 0.5 * s, a + 0.5 * s  # phi(mid - u) + phi(mid + u) = 2 phi(mid) e^(-u^2/2) cosh(mid u)
-        pairs = sum(w * math.exp(-0.5 * (h * x) ** 2) * math.cosh(mid * h * x) for x, w in _GL6)
+        # fsum is correctly rounded on every Python; sum() of floats is compensated from 3.12 only.
+        pairs = math.fsum(w * math.exp(-0.5 * (h * x) ** 2) * math.cosh(mid * h * x) for x, w in _GL6)
         return s * math.exp(-0.5 * mid * mid) * pairs / math.sqrt(2.0 * math.pi)
     return std_normal_cdf(a + s) - std_normal_cdf(a)
 

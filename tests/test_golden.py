@@ -5,8 +5,11 @@ of a 2001-step ``sweep`` CSV and of the ``allocate`` text report are pinned.
 Any change to the ratio engine, the verifier or the formatting that moves a
 single bit of a printed float, or a character of a report, changes a
 digest. The digests were recorded with CPython 3.11 on x86-64 Linux (glibc
-libm); the wakalah contract goes through ``log1p``/``expm1``, so a platform
-whose libm rounds those differently may disagree in the last bit.
+libm); the wakalah contracts go through ``log1p``/``expm1``, so a platform
+whose libm rounds those differently may disagree in the last bit. The GBM
+closed form sums its quadrature with ``math.fsum``, which rounds alike on
+every supported Python, where the built-in ``sum`` of floats became
+compensated in 3.12: the GBM contract's digests hold on 3.10 to 3.13.
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ CONTRACTS = {
         "wakalah": {"r": 0.035, "T": 7.5, "k": 6},
         "model": {"kind": "fixed_rho", "rho": 0.62, "delta": 11.0},
     },
+    "musharakah_wakalah_gbm": {
+        "schema": 1,
+        "variant": "musharakah_wakalah",
+        "ratings": [2, 3, 1.25, 4],
+        "capital": [0.5, 0.3, 0.2],
+        "wakalah": {"r": 0.035, "T": 7.5, "k": 6},
+        "model": {"kind": "gbm", "mu": 0.1, "sigma": 0.2, "T": 1},
+        "capital_amount": 100.0,
+    },
 }
 
 GOLDEN = {
@@ -81,6 +93,11 @@ GOLDEN = {
         "d3f51009dd86b4e57aa3c3ebf10e4ec2316b491112997559c7bf7143f579d463",
         "b308b62b5d46417226beec5c9f22dbac8842cc313e0671bda5d032a97ec2bc81",
         "b2d88a5f8aa441aa1bc229dc4ecd1be4b9b9c5614c5690f444c3092118b571b7",
+    ),
+    "musharakah_wakalah_gbm": (
+        "e3dd5b62a7d537a2ad1c8ed83ff0049f08e945796086dc35b99aab356ff5d0b5",
+        "b308b62b5d46417226beec5c9f22dbac8842cc313e0671bda5d032a97ec2bc81",
+        "dc990efc3d30f533de7cd53b5599953af531199118a547ad2ed9c374af71ce5e",
     ),
 }
 
