@@ -577,13 +577,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     times in one process; every call parses with the parsers of
     ``build_parser``, and no call sees the arguments of another.
 
-    A command line whose first word names a command is parsed by that
-    command's parser alone, as the top-level parser would hand it on, and a
-    word left over is refused with the top-level usage line, as
-    ``parse_args`` refuses it; every other command line (empty, an option
-    or ``--`` first, an unknown command) goes to the top-level parser. So
-    each command line prints and exits as one top-level ``parse_args``
-    would have it, without the second parse.
+    A command line whose first word names a command goes straight to that
+    command's parser, and a word left over is refused with the top-level
+    usage line; any other command line (empty, an option or ``--`` first,
+    an unknown command) goes to the top-level parser. Either way it prints
+    and exits as one top-level ``parse_args`` would.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
