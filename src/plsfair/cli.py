@@ -29,8 +29,8 @@ optional delta or e_profit). ``capital_amount`` supplies L and is required
 for every kind except ``fixed_rho``. ``--simulate`` applies to ``gbm`` and
 ``two_point`` only.
 
-Exit codes: 0 success, 1 input error, 2 non-viable investment,
-3 verification failure.
+Exit codes: 0 success, 1 input error or output that stdout refuses,
+2 non-viable investment, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .contracts import (
     Allocation,
@@ -377,15 +377,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, steps = args.rho_from, args.rho_to, args.steps
     if not (0.0 <= lo < hi <= 1.0):
         raise ContractError(f"need 0 <= --rho-from < --rho-to <= 1, got [{lo}, {hi}]")
-    if steps < 2:
-        raise ContractError(f"need --steps >= 2, got {steps}")
     plan = AllocationPlan.for_contract(spec)
     # Row sums are (1 - rho) sum(w_eff) + rho sum(kappa_eff), so these two sums bound every row.
     if abs(math.fsum(plan.w_eff) - 1.0) > 1e-9 or abs(math.fsum(plan.kappa_eff) - 1.0) > 1e-9:
         raise ContractError("the contract's sharing plan violates the ratio simplex")
     blocks = _sweep_csv(tuple(zip(plan.w_eff, plan.kappa_eff)), lo, hi, steps)
     if args.output == "-":
-        sys.stdout.writelines(blocks)
+        for block in blocks:  # print, like every report: with no stdout at all it writes nothing
+            print(block, end="")
         return 0
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -414,18 +413,12 @@ def _sweep_csv(pairs: tuple[tuple[float, float], ...], lo: float, hi: float, ste
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec, profile = _contract_and_profile(args, "verification")
-    _as_profile(profile)  # a non-viable profile is an error before the candidate is read
-    try:
-        gammas = tuple(float(tok) for tok in args.gammas.split(","))
-    except ValueError:
-        gammas = (math.nan,)
-    if not all(map(math.isfinite, gammas)):
-        raise ContractError(f"--gammas must be a comma-separated list of finite numbers, got {args.gammas!r}")
+    _as_profile(profile)  # a non-viable profile is an error before the --p checks
     if spec.wakalah is not None and args.p is None:
         raise ContractError("the wakalah variant needs --p (the periodic payment)")
     if spec.wakalah is None and args.p is not None:
         raise ContractError(f"--p applies only to the wakalah variant, not {spec.variant.value}")
-    candidate = Allocation(gammas=gammas, payoffs=(), periodic_payment=args.p)
+    candidate = Allocation(gammas=args.gammas, payoffs=(), periodic_payment=args.p)
     report = verify_allocation(candidate, spec, profile, tol=args.tol)
     if args.json:
         print(json.dumps(_report_payload(report, args.tol)))
@@ -442,51 +435,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _u64(text: str) -> int:
-    # Every failure says what it got; argparse's own message on a ValueError
-    # would name this function.
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an unsigned 64-bit integer, got {text!r}"
-        )
-    return value
+def _number_flag(
+    kind: type[int] | type[float], low: float | None = None, high: float = math.inf, rule: str | None = None,
+) -> Callable[[str], float]:
+    """The ``type=`` callable of a numeric flag or a ``--gammas`` entry: ``kind`` text in ``[low, high)``.
 
+    With no ``low`` it takes any ``float()`` text, ``inf`` and ``nan`` too, and the library names the
+    range; with one, finite values only, and ``rule`` (made from the range unless given) names it.
+    Every failure is an ArgumentTypeError, since argparse's message on a ValueError names the callable.
+    """
+    if low is None:
+        def parse(text: str) -> float:
+            try:
+                value = float(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+            # float() reads a literal beyond the float range, such as 1e400, as inf; only inf spellings may.
+            if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+                raise argparse.ArgumentTypeError(f"out of the float range, got {text!r}")
+            return value
+        return parse
+    if rule is None and kind is float:
+        rule = "must be a finite number" + ("" if low == -math.inf else f" >= {low:g}")
+    elif rule is None:
+        rule = "must be a positive integer" if low == 1 else f"must be an integer >= {low}"
 
-def _float(text: str) -> float:
-    # float() reads a literal beyond the float range, such as 1e400, as inf; only
-    # the inf and infinity tokens may give one.
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
-        raise argparse.ArgumentTypeError(f"out of the float range, got {text!r}")
-    return value
+    def parse_in_range(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        # NaN fails every comparison and inf fails `< high`; -inf is no finite number either.
+        if not low <= value < high or value == -math.inf:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
 
-
-def _finite_float(text: str, minimum: float = -math.inf) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= minimum):
-        rule = "a finite number" if minimum == -math.inf else f"a finite number >= {minimum:g}"
-        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+    return parse_in_range
 
 
 @functools.cache
@@ -497,13 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
     change it. Parsing leaves no state behind in it: each ``parse_args``
     starts a new namespace from the (scalar) defaults.
     """
+    number = _number_flag(float)
+    finite = _number_flag(float, -math.inf)
     # Each subcommand takes only the flags it reads: risk builds a profile,
     # allocate and verify also check against a tolerance, sweep needs none.
     profile = argparse.ArgumentParser(add_help=False)
     profile.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    profile.add_argument("--seed", type=_u64, default=0, help="simulation seed (default 0)")
+    seed = _number_flag(int, 0, 2**64, "seed must be an unsigned 64-bit integer")
+    profile.add_argument("--seed", type=seed, default=0, help="simulation seed (default 0)")
     profile.add_argument(
-        "--paths", type=_positive_int, default=DEFAULT_PATHS,
+        "--paths", type=_number_flag(int, 1), default=DEFAULT_PATHS,
         help=f"Monte Carlo path count (default {DEFAULT_PATHS})",
     )
     profile.add_argument(
@@ -512,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checked = argparse.ArgumentParser(add_help=False, parents=[profile])
     checked.add_argument(
-        "--tol", type=functools.partial(_finite_float, minimum=0.0), default=DEFAULT_TOL,
+        "--tol", type=_number_flag(float, 0.0), default=DEFAULT_TOL,
         help=f"verification tolerance, relative (default {DEFAULT_TOL:g})",
     )
 
@@ -526,16 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk.add_argument(
         "--model", required=True, choices=["gbm", "two-point", "empirical", "fixed-rho"]
     )
-    p_risk.add_argument("--mu", type=_float, help="drift per period (gbm)")
-    p_risk.add_argument("--sigma", type=_float, help="volatility per sqrt-period (gbm)")
-    p_risk.add_argument("--T", type=_float, help="horizon in periods (gbm)")
-    p_risk.add_argument("--L", type=_float, help="capital")
-    p_risk.add_argument("--beta", type=_float, help="success probability (two-point)")
-    p_risk.add_argument("--r-plus", type=_float, help="success revenue (two-point)")
-    p_risk.add_argument("--r-minus", type=_float, help="failure revenue (two-point)")
+    p_risk.add_argument("--mu", type=number, help="drift per period (gbm)")
+    p_risk.add_argument("--sigma", type=number, help="volatility per sqrt-period (gbm)")
+    p_risk.add_argument("--T", type=number, help="horizon in periods (gbm)")
+    p_risk.add_argument("--L", type=number, help="capital")
+    p_risk.add_argument("--beta", type=number, help="success probability (two-point)")
+    p_risk.add_argument("--r-plus", type=number, help="success revenue (two-point)")
+    p_risk.add_argument("--r-minus", type=number, help="failure revenue (two-point)")
     p_risk.add_argument("--data", help="draws file, one per line (empirical)")
-    p_risk.add_argument("--rho", type=_float, help="investment risk (fixed-rho)")
-    p_risk.add_argument("--delta", type=_float, help="expected investment profit (fixed-rho)")
+    p_risk.add_argument("--rho", type=number, help="investment risk (fixed-rho)")
+    p_risk.add_argument("--delta", type=number, help="expected investment profit (fixed-rho)")
     p_risk.set_defaults(func=cmd_risk)
 
     p_alloc = sub.add_parser(
@@ -546,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="CSV of ratios over an investment-risk grid")
     p_sweep.add_argument("contract", help="contract JSON file")
-    p_sweep.add_argument("--rho-from", type=_float, default=0.0)
-    p_sweep.add_argument("--rho-to", type=_float, default=1.0)
-    p_sweep.add_argument("--steps", type=int, default=101)
+    p_sweep.add_argument("--rho-from", type=number, default=0.0)
+    p_sweep.add_argument("--rho-to", type=number, default=1.0)
+    p_sweep.add_argument("--steps", type=_number_flag(int, 2), default=101)
     p_sweep.add_argument("-o", "--output", default="-", help="output CSV path ('-' = stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -556,8 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[checked], help="check candidate ratios against the fairness equations"
     )
     p_verify.add_argument("contract", help="contract JSON file")
-    p_verify.add_argument("--gammas", required=True, help="comma-separated profit ratios")
-    p_verify.add_argument("--p", type=_finite_float, help="periodic payment (wakalah variant)")
+    p_verify.add_argument(
+        "--gammas", required=True, type=lambda text: tuple(map(finite, text.split(","))),
+        help="comma-separated profit ratios",
+    )
+    p_verify.add_argument("--p", type=finite, help="periodic payment (wakalah variant)")
     p_verify.set_defaults(func=cmd_verify)
 
     # Read `--mu -5e-2`, `--L -1_000` and `--tol -inf` as values: argparse on 3.11 takes only -1
@@ -565,6 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     negative_number = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = negative_number
+        # Flags are named in full: `--js` is no `--json`, and a flag added later turns no prefix ambiguous.
+        each.allow_abbrev = False
     parser._commands = sub.choices  # main hands a command line that starts with a name to its parser
     return parser
 
@@ -581,7 +573,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     command's parser, and a word left over is refused with the top-level
     usage line; any other command line (empty, an option or ``--`` first,
     an unknown command) goes to the top-level parser. Either way it prints
-    and exits as one top-level ``parse_args`` would.
+    and exits as one top-level ``parse_args`` would. A report that stdout
+    refuses ends in one ``error: cannot write output: ...`` line and exit 1.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -600,13 +593,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a report still in the buffer fails here, not in the flush at exit
     except NonViableError as exc:
         print(f"error: not viable: {exc}", file=sys.stderr)
         return 2
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # stdout refused the report; a read or the sweep's file fails as a ContractError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 def entrypoint() -> None:

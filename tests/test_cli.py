@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import hashlib
 import json
 import math
 import os
@@ -202,13 +204,15 @@ class TestRiskCommand:
             ("--seed", str(2**64), f"seed must be an unsigned 64-bit integer, got '{2**64}'"),
             ("--paths", "abc", "must be a positive integer, got 'abc'"),
             ("--paths", "0", "must be a positive integer, got '0'"),
+            ("--paths", "1e6", "must be a positive integer, got '1e6'"),
+            ("--paths", "1.0", "must be a positive integer, got '1.0'"),
         ],
     )
     def test_integer_flag_errors_name_the_rule(self, capsys, flag, value, message):
         code, out, err = run(capsys, ["risk", "--model", "gbm", "--L", "100", flag, value])
         assert code == 1 and out == ""
         assert err.endswith(f"error: argument {flag}: {message}\n")
-        assert "_u64" not in err and "_positive_int" not in err
+        assert "invalid" not in err  # argparse's own "invalid <callable> value" wording
 
     def test_growth_factor_overflow_exits_1(self, capsys):
         code, out, err = run(
@@ -716,6 +720,19 @@ class TestSweepCommand:
         code, _, _ = run(capsys, ["sweep", contract, *bounds])
         assert code == 1
 
+    @pytest.mark.parametrize("steps", ["1e3", "1", "0", "2.0", "x"])
+    def test_step_count_meets_the_integer_rule(self, capsys, tmp_path, steps):
+        contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        code, out, err = run(capsys, ["sweep", contract, "--steps", steps])
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument --steps: must be an integer >= 2, got '{steps}'\n")
+
+    @pytest.mark.parametrize("steps, rows", [("+3", 3), ("1_0", 10), (" 2 ", 2)])
+    def test_step_count_takes_int_text(self, capsys, tmp_path, steps, rows):
+        contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        code, out, _ = run(capsys, ["sweep", contract, "--steps", steps])
+        assert code == 0 and len(out.splitlines()) == rows + 1
+
     def test_negative_exponent_form_reaches_the_range_rule(self, capsys, tmp_path):
         contract = write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
         code, out, err = run(capsys, ["sweep", contract, "--rho-from", "-1e-1"])
@@ -737,6 +754,13 @@ class TestSweepCommand:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not missing.exists()
+
+    @pytest.mark.parametrize("argv", [["sweep"], ["allocate", "--json"]])
+    def test_no_stdout_at_all_is_no_traceback(self, tmp_path, monkeypatch, argv):
+        # A process started with its stdout closed has sys.stdout None; print writes nothing there.
+        contract = write_contract(tmp_path, {**FIGURE_SWEEP_CONTRACT, "model": {"kind": "fixed_rho", "rho": 0.3}})
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([argv[0], contract, *argv[1:]]) == 0
 
     def test_wakalah_sweep_has_funding_columns_only(self, capsys, tmp_path):
         contract = write_contract(
@@ -971,15 +995,18 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert err == "error: --p applies only to the wakalah variant, not cfair_mudharabah\n"
 
-    GAMMAS_RULE = "--gammas must be a comma-separated list of finite numbers"
+    GAMMAS_RULE = "argument --gammas: must be a finite number"
     P_RULE = "argument --p: must be a finite number"
     TOL_RULE = "argument --tol: must be a finite number >= 0"
 
     @pytest.mark.parametrize(
         "argv, code, message",
         [
-            (["verify", "--gammas", "inf,-inf"], 1, f"{GAMMAS_RULE}, got 'inf,-inf'"),
-            (["verify", "--gammas", "nan,0.5"], 1, f"{GAMMAS_RULE}, got 'nan,0.5'"),
+            (["verify", "--gammas", "inf,-inf"], 1, f"{GAMMAS_RULE}, got 'inf'"),
+            (["verify", "--gammas", "nan,0.5"], 1, f"{GAMMAS_RULE}, got 'nan'"),
+            (["verify", "--gammas", "0.5,1e400"], 1, f"{GAMMAS_RULE}, got '1e400'"),
+            (["verify", "--gammas", "0.5,x"], 1, f"{GAMMAS_RULE}, got 'x'"),
+            (["verify", "--gammas", "0.5,"], 1, f"{GAMMAS_RULE}, got ''"),
             (["verify", "--gammas", "1e308,1e308"], 3, None),
             (["verify", "--gammas", "1e308,1e308", "--json"], 3, None),
             (["verify", "--gammas", "0.5,0.5", "--p", "nan"], 1, f"{P_RULE}, got 'nan'"),
@@ -1127,6 +1154,8 @@ DISPATCH_CORPUS = [
     ["sweep", "contract.json", "--steps", "3"],
     ["verify", "contract.json", "--gammas", "0.9,0.1"],
     ["risk", "--model", "fixed-rho", "--rho", "0.3", "extra"],
+    ["risk", "--model", "fixed-rho", "--rho", "0.3", "--b"],
+    ["sweep", "contract.json", "--steps", "1"],
     ["risk", "--model", "fixed-rho", "--rho", "1.5"],
 ]
 
@@ -1144,10 +1173,47 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert run(capsys, argv) == (code, captured.out, captured.err)
 
+    @pytest.mark.parametrize(
+        "argv, words",
+        [(["allocate", "contract.json", "--js"], "--js"),
+         (["risk", "--model", "fixed-rho", "--rho", "0.3", "--b"], "--b"),
+         (["allocate", "contract.json", "--to=1e-3"], "--to=1e-3"),
+         (["sweep", "contract.json", "--st", "3"], "--st 3")],
+    )
+    def test_a_flag_prefix_is_no_flag(self, capsys, tmp_path, monkeypatch, argv, words):
+        monkeypatch.chdir(tmp_path)
+        write_contract(tmp_path, FIGURE_SWEEP_CONTRACT)
+        assert run(capsys, argv) == (
+            1, "", f"usage: plsfair [-h] command ...\nplsfair: error: unrecognized arguments: {words}\n"
+        )
+
     def test_a_word_left_over_is_refused_with_the_top_level_usage(self, capsys):
         assert run(capsys, ["risk", "--model", "fixed-rho", "--rho", "0.3", "a", "--bogus"]) == (
             1, "", "usage: plsfair [-h] command ...\nplsfair: error: unrecognized arguments: a --bogus\n"
         )
+
+
+#: sha256 of each command's ``-h`` stdout at COLUMNS=80, recorded on Python 3.11 before the
+#: flag types and allow_abbrev changed: neither may move a byte of help.
+HELP_DIGESTS = {
+    "risk": "7eff0291a2ae55054a6b757b51ad2e72e468594e3c53185074f017cc07756809",
+    "allocate": "b1e0a90dbcf7075a20bad6ad4c833652fc1fc79a121b6c7d9f94df14fa4b760e",
+    "sweep": "0b53dcd9d59be8f03454dbc123886cafbc32b78f2eb323917b648b92a97686b7",
+    "verify": "4afb2480fa943308dd81feba14b102669f46451212555cea060beac73f0e8c8c",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse's help differs by version: 3.10 prints 'optional arguments:', "
+    "and 3.13 formats '-o, --output'",
+)
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, [command, "-h"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[command], out
 
 
 class TestUnreadableInputs:
@@ -1206,6 +1272,38 @@ class TestConsoleEntryPoint:
             assert "Traceback" not in done.stderr
             if code in (1, 2):
                 assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    #: A report held in the buffer until the flush, and sweeps that fail inside their writes.
+    REPORTS = [["allocate", "--json"], ["allocate"], ["sweep", "--steps", "5"], ["sweep", "--steps", "30000"]]
+
+    def _refused(self, tmp_path, argv, stdout):
+        contract = write_contract(
+            tmp_path, {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+                       "model": {"kind": "fixed_rho", "rho": 0.25}},
+        )
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        return subprocess.run(
+            [sys.executable, "-m", "plsfair.cli", argv[0], contract, *argv[1:]], stdout=stdout,
+            stderr=subprocess.PIPE, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+
+    @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+    def test_a_closed_pipe_ends_in_one_error_line(self, tmp_path, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe fails with EPIPE
+        try:
+            done = self._refused(tmp_path, argv, write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+    def test_a_full_device_ends_in_one_error_line(self, tmp_path, argv):
+        with open("/dev/full", "w") as full:
+            done = self._refused(tmp_path, argv, full)
+        expected = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert (done.returncode, done.stderr) == (1, expected)
 
 
 #: Runs one command as the first ``main`` call of a fresh interpreter.

@@ -200,8 +200,10 @@ flag_values = numbers.map(str) | st.sampled_from(
     ["1e400", "-1e400", "inf", "-inf", "-Infinity", "nan", "-nan", "1_000", "-5e-2", " 2 ", "0x10", "",
      "x", str(10**400), str(-(10**400))]
 )
-#: --paths and --steps: at most 10^4, one Monte Carlo chunk, so no worker thread starts.
-_counts = _rarely(st.integers(1, 10**4).map(str), st.sampled_from(["0", "-3", "1e4", "1_000", "nan", "x", ""]), 8)
+#: --paths and --steps: at most 10^4, one Monte Carlo chunk, so no worker thread starts; and
+#: spellings that int() reads or refuses, which the one integer rule meets alike on both flags.
+_counts = _rarely(st.integers(1, 10**4).map(str), st.sampled_from(
+    ["0", "-3", "1e4", "1e6", "1.0", "+3", "1_000", "-0", " 2 ", "nan", "x", ""]), 8)
 _RISK_FLAGS = {"--mu": (-1.0, 1.0), "--sigma": (0.01, 1.0), "--T": (0.1, 10.0), "--L": (50.0, 150.0),
                "--beta": (0.0, 1.0), "--r-plus": (50.0, 200.0), "--r-minus": (0.0, 150.0),
                "--rho": (0.0, 1.2), "--delta": (-10.0, 10.0)}
@@ -259,6 +261,9 @@ def _argv(data, root) -> list[str]:
             argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
     if data.draw(_rarely(st.just(False), st.just(True), 10)):  # a flag of another subcommand, or none
         argv += [data.draw(st.sampled_from(["--tol", "--steps", "--mu", "--gammas", "--bogus"])), "1"]
+    if data.draw(_rarely(st.just(False), st.just(True), 10)):  # a prefix of a flag, which names none
+        prefixes = ["--js", "--sim", "--se", "--pa", "--to", "--st", "--rho-f", "--b", "--gam"]
+        argv += [data.draw(st.sampled_from(prefixes)), "1"]
     return argv
 
 
