@@ -383,8 +383,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ContractError("the contract's sharing plan violates the ratio simplex")
     blocks = _sweep_csv(tuple(zip(plan.w_eff, plan.kappa_eff)), lo, hi, steps)
     if args.output == "-":
-        for block in blocks:  # print, like every report: with no stdout at all it writes nothing
-            print(block, end="")
+        sys.stdout.writelines(blocks)
         return 0
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -441,7 +440,7 @@ def _number_flag(
     """The ``type=`` callable of a numeric flag or a ``--gammas`` entry: ``kind`` text in ``[low, high)``.
 
     With no ``low`` it takes any ``float()`` text, ``inf`` and ``nan`` too, and the library names the
-    range; with one, finite values only, and ``rule`` (made from the range unless given) names it.
+    range; with one, finite values only, and ``rule`` (made from a float range unless given) names it.
     Every failure is an ArgumentTypeError, since argparse's message on a ValueError names the callable.
     """
     if low is None:
@@ -455,10 +454,8 @@ def _number_flag(
                 raise argparse.ArgumentTypeError(f"out of the float range, got {text!r}")
             return value
         return parse
-    if rule is None and kind is float:
+    if rule is None:  # a float rule; each integer flag names its own
         rule = "must be a finite number" + ("" if low == -math.inf else f" >= {low:g}")
-    elif rule is None:
-        rule = "must be a positive integer" if low == 1 else f"must be an integer >= {low}"
 
     def parse_in_range(text: str) -> float:
         try:
@@ -490,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _number_flag(int, 0, 2**64, "seed must be an unsigned 64-bit integer")
     profile.add_argument("--seed", type=seed, default=0, help="simulation seed (default 0)")
     profile.add_argument(
-        "--paths", type=_number_flag(int, 1), default=DEFAULT_PATHS,
+        "--paths", type=_number_flag(int, 1, rule="must be a positive integer"), default=DEFAULT_PATHS,
         help=f"Monte Carlo path count (default {DEFAULT_PATHS})",
     )
     profile.add_argument(
@@ -535,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("contract", help="contract JSON file")
     p_sweep.add_argument("--rho-from", type=number, default=0.0)
     p_sweep.add_argument("--rho-to", type=number, default=1.0)
-    p_sweep.add_argument("--steps", type=_number_flag(int, 2), default=101)
+    p_sweep.add_argument("--steps", type=_number_flag(int, 2, rule="must be an integer >= 2"), default=101)
     p_sweep.add_argument("-o", "--output", default="-", help="output CSV path ('-' = stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -564,20 +561,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one ``plsfair`` command and return its exit code.
 
-    ``argv`` defaults to ``sys.argv[1:]``. Output goes to the current
-    ``sys.stdout`` and ``sys.stderr``. ``main`` may be called any number of
-    times in one process; every call parses with the parsers of
-    ``build_parser``, and no call sees the arguments of another.
-
-    A command line whose first word names a command goes straight to that
-    command's parser, and a word left over is refused with the top-level
-    usage line; any other command line (empty, an option or ``--`` first,
-    an unknown command) goes to the top-level parser. Either way it prints
-    and exits as one top-level ``parse_args`` would. A report that stdout
-    refuses ends in one ``error: cannot write output: ...`` line and exit 1.
+    ``argv`` defaults to ``sys.argv[1:]``; output goes to the current ``sys.stdout`` and
+    ``sys.stderr``. ``main`` may be called any number of times in one process, and no call sees
+    the arguments of another. A command line that starts with a command's name goes straight to
+    that command's parser, any other to the top-level one; either way it prints and exits as one
+    top-level ``parse_args`` would. A report or help text that stdout refuses ends in one
+    ``error: cannot write output: ...`` line and exit 1.
     """
+    try:
+        code = _dispatch(sys.argv[1:] if argv is None else list(argv))
+        print(end="", flush=True)  # output still in the buffer fails here, not in the flush at exit
+    except NonViableError as exc:
+        print(f"error: not viable: {exc}", file=sys.stderr)
+        return 2
+    except ContractError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # stdout refused the output; a read or the sweep's file fails as a ContractError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return code
+
+
+def _dispatch(argv: list[str]) -> int:
+    """Parse ``argv`` and run its command; help and a refused command line return 0 or 1 here."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     command = parser._commands.get(argv[0]) if argv else None
     try:
         if command is None:
@@ -592,23 +600,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 1
-    try:
-        code = args.func(args)
-        print(end="", flush=True)  # a report still in the buffer fails here, not in the flush at exit
-    except NonViableError as exc:
-        print(f"error: not viable: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # stdout refused the report; a read or the sweep's file fails as a ContractError
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    return code
+    return args.func(args)
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        print(end="", flush=True)
+    except OSError:  # main named the failure; the buffer kept the bytes, which would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
