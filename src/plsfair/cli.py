@@ -36,6 +36,7 @@ Exit codes: 0 success, 1 input error or output that stdout refuses,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -69,12 +70,17 @@ from .risk import (
 )
 from .verification import DEFAULT_TOL, VerificationReport, verify_allocation
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TextIO  # not at run time: a closed-form process loads no typing
+
 DEFAULT_PATHS = 1_000_000
 
 #: Significant digits in sweep CSV cells; fixed so output is byte-stable.
 CSV_DIGITS = 12
-#: Sweep rows formatted per write: one write per row is slower, and all rows at once grow with --steps.
-_SWEEP_BLOCK_ROWS = 4096
+#: Sweep rows built and written per block: one write per row is slower, all rows at once grow with
+#: --steps, and a block's float columns outweigh its text, so 4096-row blocks already raised peak memory.
+_SWEEP_BLOCK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +283,14 @@ def _profile_payload(profile: RiskProfile) -> dict[str, object]:
     return payload
 
 
+def _stdout() -> TextIO:
+    """``sys.stdout`` for a report; a process started with no file descriptor 1 has None there,
+    and its report fails as a write to that descriptor would."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _print_profile(profile: RiskProfile) -> None:
     lines = [
         f"e_profit: {_fmt(profile.e_profit)}",
@@ -289,7 +303,7 @@ def _print_profile(profile: RiskProfile) -> None:
     if profile.se_rho is not None:
         lines.append(f"se(rho):      {_fmt(profile.se_rho)}   se(delta):  {_fmt(profile.se_delta)}")
     lines.append(f"viable:   {'yes' if profile.viable() else 'no (rho > 1: not viable)'}")
-    print("\n".join(lines))
+    print("\n".join(lines), file=_stdout())
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +318,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
         model, args.L, contract=None, simulate=args.simulate, seed=args.seed, paths=args.paths
     )
     if args.json:
-        print(json.dumps(_profile_payload(profile)))
+        print(json.dumps(_profile_payload(profile)), file=_stdout())
     else:
         _print_profile(profile)
     return 0 if profile.viable() else 2
@@ -349,7 +363,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
             "residual": verification["max_fairness_residual"],
             "verification": verification,
         }
-        print(json.dumps(payload))
+        print(json.dumps(payload), file=_stdout())
     else:
         lines = [
             f"variant: {spec.variant.value}",
@@ -368,7 +382,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
             f"verification: residual {_fmt(report.max_fairness_residual)}, "
             f"simplex defect {_fmt(report.simplex_residual)} (tol {args.tol:g}) -> {status}"
         )
-        print("\n".join(lines))
+        print("\n".join(lines), file=_stdout())
     return 0 if report.passed else 3
 
 
@@ -383,7 +397,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ContractError("the contract's sharing plan violates the ratio simplex")
     blocks = _sweep_csv(tuple(zip(plan.w_eff, plan.kappa_eff)), lo, hi, steps)
     if args.output == "-":
-        sys.stdout.writelines(blocks)
+        _stdout().writelines(blocks)
         return 0
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -394,20 +408,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _sweep_csv(pairs: tuple[tuple[float, float], ...], lo: float, hi: float, steps: int) -> Iterator[str]:
-    """The sweep CSV of the plan's (w_eff, kappa_eff) pairs: the header, then the
-    rows in blocks of :data:`_SWEEP_BLOCK_ROWS`, so memory stays flat at any step count."""
-    # One %-format per row; "%.12g" % x and f"{x:.12g}" print the same digits.
+    """The sweep CSV of the plan's (w_eff, kappa_eff) pairs: the header, then the rows in
+    blocks of :data:`_SWEEP_BLOCK_ROWS`. Each block is built by columns, the rho grid and
+    one list per gamma, then joined with one %-format per row, so memory stays flat at any
+    step count. Every cell takes the float operations of AllocationPlan.gammas, in its order."""
+    # "%.12g" % x and f"{x:.12g}" print the same digits.
     row_format = ",".join([f"%.{CSV_DIGITS}g"] * (len(pairs) + 1))
     yield "rho," + ",".join(f"gamma_{j + 1}" for j in range(len(pairs))) + "\n"
+    span, last = hi - lo, steps - 1
     for start in range(0, steps, _SWEEP_BLOCK_ROWS):
-        rows = []
-        for i in range(start, min(start + _SWEEP_BLOCK_ROWS, steps)):
-            # The grid stays within [lo, hi] <= 1, so every row is a viable risk.
-            rho = lo + (hi - lo) * i / (steps - 1)
-            labour = 1.0 - rho
-            gammas = [w * labour + k * rho for w, k in pairs]  # AllocationPlan.gammas, inlined
-            rows.append(row_format % (rho, *gammas))
-        yield "\n".join(rows) + "\n"
+        # The grid stays within [lo, hi] <= 1, so every row is a viable risk.
+        rhos = [lo + span * i / last for i in range(start, min(start + _SWEEP_BLOCK_ROWS, steps))]
+        labours = [1.0 - rho for rho in rhos]
+        columns = [[w * labour + k * rho for labour, rho in zip(labours, rhos)] for w, k in pairs]
+        yield "\n".join(map(row_format.__mod__, zip(rhos, *columns))) + "\n"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -420,12 +434,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     candidate = Allocation(gammas=args.gammas, payoffs=(), periodic_payment=args.p)
     report = verify_allocation(candidate, spec, profile, tol=args.tol)
     if args.json:
-        print(json.dumps(_report_payload(report, args.tol)))
+        print(json.dumps(_report_payload(report, args.tol)), file=_stdout())
     else:
         status = "PASS" if report.passed else "FAIL"
         print(
             f"fairness residual: {_fmt(report.max_fairness_residual)}   "
-            f"simplex defect: {_fmt(report.simplex_residual)}   (tol {args.tol:g}) -> {status}"
+            f"simplex defect: {_fmt(report.simplex_residual)}   (tol {args.tol:g}) -> {status}",
+            file=_stdout(),
         )
     return 0 if report.passed else 3
 
@@ -547,9 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=finite, help="periodic payment (wakalah variant)")
     p_verify.set_defaults(func=cmd_verify)
 
-    # Read `--mu -5e-2`, `--L -1_000` and `--tol -inf` as values: argparse on 3.11 takes only -1
-    # and -.5 shapes. No option here starts with a digit or is spelt -inf or -nan, so none is shadowed.
-    negative_number = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
+    # Read `--mu -5e-2`, `--L -1_000`, `--tol -inf` and `--gammas -inf,0.3` as values: argparse on 3.11
+    # takes only -1 and -.5 shapes. No option here starts with a digit or is spelt -inf or -nan, so none
+    # is shadowed; an inf or nan spelling must end the word or the first --gammas entry.
+    negative_number = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.IGNORECASE)
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = negative_number
         # Flags are named in full: `--js` is no `--json`, and a flag added later turns no prefix ambiguous.

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from plsfair import (
     WakalahTerms,
     verify_allocation,
 )
+from plsfair import cli
 from plsfair.cli import build_parser, contract_from_dict, main, profile_from_model
 from plsfair.contracts import ContractError, NonViableError
 
@@ -772,38 +774,40 @@ class TestSweepCommand:
 
     def test_csv_matches_reference_formatting(self, capsys, tmp_path):
         rng = np.random.default_rng(31)
-        for variant in Variant:
-            for d in (2, 3, 9, 64):
-                if variant in (Variant.FAIR_MUDHARABAH, Variant.CFAIR_MUDHARABAH) and d != 2:
-                    continue
-                ratings = random_ratings(rng, d)
-                capital, terms = random_simplex(rng, d), None
-                if variant is Variant.FAIR_MUDHARABAH:
-                    ratings, capital = (ratings[0], ratings[0]), None
-                elif variant is Variant.CFAIR_MUDHARABAH:
-                    capital = None
-                elif variant is not Variant.MUSHARAKAH_SELF_MANAGED:
-                    capital = random_simplex(rng, d - 1) if d > 2 else (1.0,)
-                    if variant is Variant.MUSHARAKAH_WAKALAH:
-                        terms = WakalahTerms(r=0.04, T=5.0, k=12)
-                spec = ContractSpec(variant, ratings, capital, terms)
-                lo = float(rng.uniform(0.0, 0.5))
-                hi = float(rng.uniform(0.5, 1.0))
-                steps = int(rng.integers(2, 400))
-                contract = write_contract(tmp_path, contract_to_dict(spec))
-                code, out, _ = run(
-                    capsys,
-                    ["sweep", contract, "--rho-from", repr(lo), "--rho-to", repr(hi),
-                     "--steps", str(steps)],
-                )
-                assert code == 0
-                plan = AllocationPlan.for_contract(spec)
-                header = "rho," + ",".join(f"gamma_{j + 1}" for j in range(len(plan.w_eff)))
-                rows = [
-                    ",".join(f"{x:.12g}" for x in (rho, *plan.gammas(rho)))
-                    for rho in (lo + (hi - lo) * i / (steps - 1) for i in range(steps))
-                ]
-                assert out == "\n".join([header, *rows]) + "\n", (variant, d)
+        cases = [(variant, d, None) for variant in Variant for d in (2, 3, 9, 64)]
+        # Three blocks, the last of one row.
+        cases.append((Variant.MUSHARAKAH_EXTERNAL_MUDHARIB, 64, 2 * cli._SWEEP_BLOCK_ROWS + 1))
+        for variant, d, steps in cases:
+            if variant in (Variant.FAIR_MUDHARABAH, Variant.CFAIR_MUDHARABAH) and d != 2:
+                continue
+            ratings = random_ratings(rng, d)
+            capital, terms = random_simplex(rng, d), None
+            if variant is Variant.FAIR_MUDHARABAH:
+                ratings, capital = (ratings[0], ratings[0]), None
+            elif variant is Variant.CFAIR_MUDHARABAH:
+                capital = None
+            elif variant is not Variant.MUSHARAKAH_SELF_MANAGED:
+                capital = random_simplex(rng, d - 1) if d > 2 else (1.0,)
+                if variant is Variant.MUSHARAKAH_WAKALAH:
+                    terms = WakalahTerms(r=0.04, T=5.0, k=12)
+            spec = ContractSpec(variant, ratings, capital, terms)
+            lo = float(rng.uniform(0.0, 0.5))
+            hi = float(rng.uniform(0.5, 1.0))
+            steps = int(rng.integers(2, 400)) if steps is None else steps
+            contract = write_contract(tmp_path, contract_to_dict(spec))
+            code, out, _ = run(
+                capsys,
+                ["sweep", contract, "--rho-from", repr(lo), "--rho-to", repr(hi),
+                 "--steps", str(steps)],
+            )
+            assert code == 0
+            plan = AllocationPlan.for_contract(spec)
+            header = "rho," + ",".join(f"gamma_{j + 1}" for j in range(len(plan.w_eff)))
+            rows = [
+                ",".join(f"{x:.12g}" for x in (rho, *plan.gammas(rho)))
+                for rho in (lo + (hi - lo) * i / (steps - 1) for i in range(steps))
+            ]
+            assert out == "\n".join([header, *rows]) + "\n", (variant, d)
 
     def test_memory_stays_flat_in_the_step_count(self, capsys, tmp_path):
         # Rows are formatted and written in blocks; with every row built before the
@@ -821,7 +825,9 @@ class TestSweepCommand:
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 50001
         plan = AllocationPlan.for_contract(contract_from_dict(FIGURE_SWEEP_CONTRACT))
-        for i in (0, 4095, 4096, 4097, 49999):  # rows on both sides of a block boundary
+        block = cli._SWEEP_BLOCK_ROWS
+        assert 2 * block + 1 < 50000
+        for i in (0, block - 1, block, block + 1, 2 * block, 49999):  # rows on both sides of block boundaries
             rho = i / 49999
             assert lines[i + 1] == ",".join(f"{x:.12g}" for x in (rho, *plan.gammas(rho)))
 
@@ -1015,6 +1021,15 @@ class TestVerifyCommand:
             (["verify", "--gammas", "0.7,0.3", "--tol", "-NaN"], 1, f"{TOL_RULE}, got '-NaN'"),
             (["verify", "--gammas", "0.5,0.5", "--p=-Infinity"], 1, f"{P_RULE}, got '-Infinity'"),
             (["verify", "--gammas", "0.5,0.5", "--p", "-Infinity"], 1, f"{P_RULE}, got '-Infinity'"),
+            (["verify", "--gammas=-inf,0.3"], 1, f"{GAMMAS_RULE}, got '-inf'"),
+            (["verify", "--gammas", "-inf,0.3"], 1, f"{GAMMAS_RULE}, got '-inf'"),
+            (["verify", "--gammas", "-Infinity,0.3"], 1, f"{GAMMAS_RULE}, got '-Infinity'"),
+            (["verify", "--gammas", "-infinity,0.3"], 1, f"{GAMMAS_RULE}, got '-infinity'"),
+            (["verify", "--gammas", "-INF,0.3"], 1, f"{GAMMAS_RULE}, got '-INF'"),
+            (["verify", "--gammas", "-nan,0.3"], 1, f"{GAMMAS_RULE}, got '-nan'"),
+            (["verify", "--gammas", "-NaN,0.3"], 1, f"{GAMMAS_RULE}, got '-NaN'"),
+            (["verify", "--gammas", "-information"], 1, "argument --gammas: expected one argument"),
+            (["verify", "--gammas", "-h,0.3"], 1, "argument --gammas: expected one argument"),
         ],
     )
     def test_numeric_flags_end_in_a_documented_exit(self, capsys, tmp_path, argv, code, message):
@@ -1307,6 +1322,40 @@ class TestConsoleEntryPoint:
             done = self._refused(tmp_path, argv, full, buffering)
         expected = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         assert (done.returncode, done.stderr) == (1, expected)
+
+    #: Reports of a process started with no file descriptor 1, where sys.stdout is None.
+    CLOSED = [
+        ["risk", "--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1", "--L", "100"],
+        ["allocate", "{contract}"], ["allocate", "{contract}", "--json"],
+        ["verify", "{contract}", "--gammas", "0.7,0.3"], ["verify", "{contract}", "--gammas", "0.7,0.3", "--json"],
+        ["sweep", "{contract}", "--steps", "5"], ["sweep", "{contract}", "--steps", "30000", "-o", "-"],
+    ]
+
+    def _closed(self, tmp_path, argv):
+        contract = write_contract(
+            tmp_path, {"schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
+                       "model": {"kind": "fixed_rho", "rho": 0.25}},
+        )
+        src = str(Path(plsfair.__file__).resolve().parent.parent)
+        command = [sys.executable, "-m", "plsfair.cli", *(word.format(contract=contract) for word in argv)]
+        return subprocess.run(
+            ["sh", "-c", '"$@" >&-', "sh", *command], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+        ), contract
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell to close stdout")
+    @pytest.mark.parametrize("argv", CLOSED, ids=[" ".join(w for w in a if w != "{contract}") for a in CLOSED])
+    def test_a_closed_stdout_ends_in_one_error_line(self, tmp_path, argv):
+        done, _ = self._closed(tmp_path, argv)
+        expected = f"error: cannot write output: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+        assert (done.returncode, done.stderr) == (1, expected)
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell to close stdout")
+    def test_a_sweep_to_a_file_needs_no_stdout(self, capsys, tmp_path):
+        out_csv = tmp_path / "out.csv"
+        done, contract = self._closed(tmp_path, ["sweep", "{contract}", "--steps", "3000", "-o", str(out_csv)])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert out_csv.read_text(encoding="utf-8") == run(capsys, ["sweep", contract, "--steps", "3000"])[1]
 
 
 #: Runs one command as the first ``main`` call of a fresh interpreter.
