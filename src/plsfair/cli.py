@@ -43,6 +43,7 @@ import math
 import os
 import re
 import sys
+import types
 from collections.abc import Callable, Iterator, Sequence
 
 from .contracts import (
@@ -135,10 +136,10 @@ def load_contract(path: str) -> tuple[ContractSpec, dict[str, object] | None, fl
     except (ValueError, RecursionError) as exc:  # bad JSON, a non-JSON constant or number, deep nesting
         raise ContractError(f"{path}: not valid JSON: {exc}") from exc
     spec = contract_from_dict(doc)
-    model = doc.get("model") if isinstance(doc, dict) else None
+    model = doc.get("model")
     if model is not None and not isinstance(model, dict):
         raise ContractError("'model' must be an object with a 'kind' key")
-    amount = doc.get("capital_amount") if isinstance(doc, dict) else None
+    amount = doc.get("capital_amount")
     if amount is not None:
         amount = _as_float(amount, "field 'capital_amount'")
     return spec, model, amount
@@ -485,6 +486,16 @@ def _number_flag(
     return parse_in_range
 
 
+def _print_help(parser: argparse.ArgumentParser, file: TextIO | None = None) -> None:
+    """``print_help`` of every plsfair parser: help for stdout goes through :func:`_stdout`, and a
+    write it refuses raises, where argparse's own drops the OSError and writes to stderr when
+    ``sys.stdout`` is None. Help sent to a given file, such as stderr, is printed as argparse prints it."""
+    if file is not None:
+        argparse.ArgumentParser.print_help(parser, file)
+    else:
+        _stdout().write(parser.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``plsfair`` argument parser, built on the first call and shared after it.
@@ -570,6 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         each._negative_number_matcher = negative_number
         # Flags are named in full: `--js` is no `--json`, and a flag added later turns no prefix ambiguous.
         each.allow_abbrev = False
+        each.print_help = types.MethodType(_print_help, each)
     parser._commands = sub.choices  # main hands a command line that starts with a name to its parser
     return parser
 
@@ -610,7 +622,6 @@ def _dispatch(argv: list[str]) -> int:
             args, extras = command.parse_known_args(argv[1:])
             if extras:
                 parser.error("unrecognized arguments: " + " ".join(extras))
-            args.command = argv[0]
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if not hasattr(args, "func"):

@@ -15,12 +15,13 @@ numpy's ``SeedSequence(seed, spawn_key=(chunk index,))``. The chunks run on
 up to one thread per CPU available to the process; each worker keeps one
 draws buffer and one 512 KB leaf buffer, whatever the path count. Each
 path's difference R_T - L is formed once, in place in the draws buffer, and
-the moments of both sides are reduced from it. Every sum is formed leaf by
-leaf along numpy's own pairwise-sum tree and the chunks are pooled in chunk
-order, so results are a pure function of (model, seed, n_paths,
-chunk_size), bit for bit the same for any CPU count. Seeded
-estimates changed once, when this stream replaced an earlier counter-based
-one; from then on each stays fixed per (seed, n_paths, chunk_size).
+the moments of both sides are reduced from it. One pooling rule holds
+throughout: each leaf's moments are taken by numpy in two passes, and the
+leaves of a chunk, then the chunks, are pooled in order by the update of
+Chan, Golub & LeVeque, so results are a pure function of (model, seed,
+n_paths, chunk_size), bit for bit the same for any CPU count. Seeded
+estimates changed when this stream replaced a counter-based one, and when
+leaves came to be pooled like chunks; each now stays fixed per config.
 
 Only the functions that build or reduce draws arrays import numpy, inside
 their bodies: numpy loads with the first sample or simulation, and a process
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from functools import partial
 from itertools import islice
 from os import PathLike
 
@@ -41,7 +41,7 @@ from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _as_float, _re
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Iterator
 
     import numpy as np
 
@@ -49,7 +49,7 @@ _SQRT2 = math.sqrt(2.0)
 # The 6-point Gauss-Legendre rule on [-1, 1], as (positive node, weight) pairs.
 _GL6 = ((0.2386191860831969, 0.46791393457269104), (0.6612093864662645, 0.3607615730481386),
         (0.932469514203152, 0.17132449237917036))
-# Elements per leaf of a pairwise sum: a float64 leaf buffer of 512 KB stays in a core's L2 cache.
+# Elements per leaf, whose moments numpy takes before leaves are pooled: 512 KB of float64 stays in L2.
 _LEAF = 1 << 16
 
 
@@ -234,64 +234,40 @@ def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
     return _profile_from_moments(_block_moments(sample.draws - sample.L))  # the draws are read-only
 
 
-def _pairwise_sums(leaf: Callable[[int, int], tuple[float, float]], start: int,
-                   n: int) -> tuple[float, float]:
-    """Two sums over the n elements from ``start``, each taken along numpy's
-    pairwise tree: a node splits at n//2 rounded down to a multiple of 8,
-    until it is at most _LEAF long. ``leaf(start, n)`` returns both sums of
-    such a node as numpy sums them, which continues the same tree, so each
-    result is bit for bit numpy's sum of the whole. A module-level function,
-    so the recursion holds no reference cycle that could keep a chunk alive."""
-    if n <= _LEAF:
-        return leaf(start, n)
-    half = n // 2 - n // 2 % 8
-    (a, b), (c, e) = _pairwise_sums(leaf, start, half), _pairwise_sums(leaf, start + half, n - half)
-    return a + c, b + e
-
-
 def _block_moments(d: np.ndarray, buffer: np.ndarray | None = None) -> tuple:
     """Moments (n, sum X, M2 of X, sum Y, M2 of Y) of the upside X = (r - L)^+
     and downside Y = (L - r)^+ over one block of differences d = r - L.
 
     X is max(d, 0) and Y is -min(d, 0), bit for bit, since L - r rounds to
     exactly -(r - L); sum Y is 0.0 minus the sum of min(d, 0), so it is never
-    -0.0. M2, the sum of squared deviations from the block's mean, is formed
-    as numpy's ``var`` forms it, with (Y - mean_y)^2 as (min(d, 0) + mean_y)^2,
-    so one block reproduces numpy's sample deviation bit for bit. Each pass
-    walks the leaves once for both sides, forming each leaf in ``buffer`` (at
-    least min(d.size, _LEAF) long; made here when not given), so no
-    block-sized temporary is ever made. Overflow is left to the finiteness
-    check of ``_profile_from_moments``."""
+    -0.0. Each _LEAF-long leaf is formed side by side in ``buffer`` (at least
+    min(d.size, _LEAF) long; made here when not given) and read twice while
+    cached: its sum, then M2, the sum of squared deviations from its mean, as
+    numpy's ``var`` forms it, with (Y - mean_y)^2 as (min(d, 0) + mean_y)^2.
+    So one leaf reproduces numpy's sample deviation bit for bit, and leaves
+    are pooled in order by ``_merge``, as chunks are. Overflow is left to the
+    finiteness check of ``_profile_from_moments``."""
     import numpy as np
 
-    n = d.size
     if buffer is None:
-        buffer = np.empty(min(n, _LEAF))
+        buffer = np.empty(min(d.size, _LEAF))
+    moments = None
     with np.errstate(over="ignore", invalid="ignore"):
-        sum_x, sum_min = _pairwise_sums(partial(_side_sums, d, buffer, None), 0, n)
-        sum_y = 0.0 - sum_min
-        m2_x, m2_y = _pairwise_sums(partial(_side_sums, d, buffer, (sum_x / n, sum_y / n)), 0, n)
-    return n, sum_x, m2_x, sum_y, m2_y
-
-
-def _side_sums(d: np.ndarray, buffer: np.ndarray, means: tuple[float, float] | None,
-               start: int, count: int) -> tuple[float, float]:
-    """(sum of max(d, 0), sum of min(d, 0)) over d[start:start + count], each
-    side formed in ``buffer``; with ``means`` (mean_x, mean_y), the sums of
-    the squared deviations (max(d, 0) - mean_x)^2 and (min(d, 0) + mean_y)^2."""
-    import numpy as np
-
-    out, block = buffer[:count], d[start:start + count]
-    np.maximum(block, 0.0, out=out)
-    if means is not None:
-        out -= means[0]
-        out *= out
-    upside = float(out.sum())
-    np.minimum(block, 0.0, out=out)
-    if means is not None:
-        out += means[1]
-        out *= out
-    return upside, float(out.sum())
+        for start in range(0, d.size, _LEAF):
+            leaf = d[start:start + _LEAF]
+            n, out = leaf.size, buffer[:leaf.size]
+            np.maximum(leaf, 0.0, out=out)
+            sum_x = float(out.sum())
+            out -= sum_x / n
+            out *= out
+            m2_x = float(out.sum())
+            np.minimum(leaf, 0.0, out=out)
+            sum_y = 0.0 - float(out.sum())
+            out += sum_y / n
+            out *= out
+            block = n, sum_x, m2_x, sum_y, float(out.sum())
+            moments = block if moments is None else _merge(moments, block)
+    return moments
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -328,17 +304,14 @@ def _profile_from_moments(m: tuple) -> RiskProfile:
 
 
 def _terminal_draws(
-    model: GbmParams | TwoPointScenario, rng: np.random.Generator, count: int,
-    out: np.ndarray | None = None,
+    model: GbmParams | TwoPointScenario, rng: np.random.Generator, count: int, out: np.ndarray,
 ) -> np.ndarray:
-    """``count`` terminal incomes of the model, in the first ``count`` slots
-    of ``out`` when it is given, else in a new array."""
+    """``count`` terminal incomes of the model, in the first ``count`` slots of ``out``."""
     import numpy as np
 
-    if out is not None:
-        out = out[:count]
+    out = out[:count]
     if isinstance(model, GbmParams):
-        z = rng.standard_normal(count) if out is None else rng.standard_normal(out=out)
+        z = rng.standard_normal(out=out)
         drift = (model.mu - 0.5 * model.sigma * model.sigma) * model.T
         vol = model.sigma * math.sqrt(model.T)
         with np.errstate(over="ignore"):  # a far-tail overflow fails the moment check
@@ -349,7 +322,7 @@ def _terminal_draws(
             z *= model.L
         return z
     if isinstance(model, TwoPointScenario):
-        u = rng.random(count) if out is None else rng.random(out=out)
+        u = rng.random(out=out)
         success = u < model.beta
         u.fill(model.r_minus)
         u[success] = model.r_plus

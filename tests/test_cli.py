@@ -1281,13 +1281,14 @@ class TestConsoleEntryPoint:
             if code in (1, 2):
                 assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
-    #: Reports held in the buffer until main's flush and sweeps that fail inside their writes, on a
-    #: buffered and an unbuffered stdout, and help on a buffered one: argparse on 3.11.7 and later
-    #: drops a write of help that fails at once.
+    #: Reports held in the buffer until main's flush, sweeps that fail inside their writes, and help,
+    #: on a buffered and an unbuffered stdout: argparse's own print_help, on 3.11.7 and later, drops
+    #: a write of help that fails at once.
     REFUSED = [
-        *((argv, buffering) for argv in (["allocate", "--json"], ["allocate"], ["sweep", "--steps", "5"],
-                                         ["sweep", "--steps", "30000"]) for buffering in ("buffered", "unbuffered")),
-        (["verify", "-h"], "buffered"),
+        (argv, buffering)
+        for argv in (["allocate", "--json"], ["allocate"], ["sweep", "--steps", "5"], ["sweep", "--steps", "30000"],
+                     ["verify", "-h"])
+        for buffering in ("buffered", "unbuffered")
     ]
 
     def _refused(self, tmp_path, argv, stdout, buffering):
@@ -1323,8 +1324,10 @@ class TestConsoleEntryPoint:
         expected = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         assert (done.returncode, done.stderr) == (1, expected)
 
-    #: Reports of a process started with no file descriptor 1, where sys.stdout is None.
+    #: Reports and help of a process started with no file descriptor 1, where sys.stdout is None:
+    #: argparse's own print_help writes help to stderr then.
     CLOSED = [
+        ["-h"], ["verify", "-h"],
         ["risk", "--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1", "--L", "100"],
         ["allocate", "{contract}"], ["allocate", "{contract}", "--json"],
         ["verify", "{contract}", "--gammas", "0.7,0.3"], ["verify", "{contract}", "--gammas", "0.7,0.3", "--json"],

@@ -458,6 +458,23 @@ class TestMonteCarlo:
             p = monte_carlo_profile(model, cfg)
             assert (p.e_profit.hex(), p.e_loss.hex(), p.rho.hex(), p.delta.hex()) == pinned
 
+    def test_pinned_estimates_over_several_leaves(self):
+        # blocks longer than a leaf, whose leaves are pooled in order: the CLI's default
+        # 2^18-path chunk (two full chunks and a two-leaf one), and 3 leaves and a part of
+        # draws built by exact arithmetic; every bit of the means and SEs is pinned
+        n = 3 * risk._LEAF + 12_345
+        runs = [
+            (monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=600_000, seed=42)),
+             ("0x1.d56292fcd30b7p+3", "0x1.09b95571fffd9p+2", "0x1.21d9471e5a0c3p-2", "0x1.5085e843d30cap+3",
+              "0x1.788d5c476397fp-6", "0x1.4780516072dcfp-7", "0x1.f911c5d0916d4p-11", "0x1.d855a35fc560cp-6")),
+            (empirical_profile(EmpiricalSample(50.0 + (np.arange(n) * 7919 % 100_003) / 1000.0, 100.0)),
+             ("0x1.90055cc7804f4p+3", "0x1.9001d7e2923d3p+3", "0x1.fffb7eea6d8e2p-1", "0x1.c272770908000p-12",
+              "0x1.2137c04fa0fefp-5", "0x1.21347e4687147p-5", "0x1.4b15f5dab495ap-8", "0x1.02adc31435e02p-4")),
+        ]
+        keys = ("e_profit", "e_loss", "rho", "delta", "se_profit", "se_loss", "se_rho", "se_delta")
+        for p, pinned in runs:
+            assert tuple(getattr(p, key).hex() for key in keys) == pinned
+
     def test_standard_errors_match_two_pass_over_all_chunks(self):
         # a tiny volatility around a large mean: one-pass sums of squares
         # lose about 1e-8 relative here, pooled two-pass moments do not
@@ -465,7 +482,8 @@ class TestMonteCarlo:
         cfg = McConfig(n_paths=200_000, seed=0, chunk_size=1 << 14)
         starts = range(0, cfg.n_paths, cfg.chunk_size)
         r = np.concatenate([
-            _terminal_draws(model, _chunk_rng(cfg.seed, i), min(cfg.chunk_size, cfg.n_paths - s))
+            _terminal_draws(model, _chunk_rng(cfg.seed, i), min(cfg.chunk_size, cfg.n_paths - s),
+                            np.empty(cfg.chunk_size))
             for i, s in enumerate(starts)
         ])
         profile = monte_carlo_profile(model, cfg)
@@ -478,7 +496,7 @@ class TestMonteCarlo:
         model = GbmParams(mu=0.3, sigma=0.7, T=2.0, L=150.0)
         z = _chunk_rng(9, 4).standard_normal(1 << 14)
         want = model.L * np.exp((model.mu - 0.5 * model.sigma * model.sigma) * model.T + model.sigma * math.sqrt(model.T) * z)
-        assert _terminal_draws(model, _chunk_rng(9, 4), 1 << 14).tobytes() == want.tobytes()
+        assert _terminal_draws(model, _chunk_rng(9, 4), 1 << 14, np.empty(1 << 14)).tobytes() == want.tobytes()
 
     def test_overflowing_draws_are_an_error(self):
         # L e^(mu T) is finite, but the sampled incomes overflow
@@ -513,11 +531,11 @@ class TestMonteCarlo:
         model = GbmParams(mu=706.3, sigma=1.0, T=1.0, L=1.0)
 
         def finite(seed, index):
-            return bool(np.isfinite(_terminal_draws(model, _chunk_rng(seed, index), 1000)).all())
+            return bool(np.isfinite(_terminal_draws(model, _chunk_rng(seed, index), 1000, np.empty(1000))).all())
 
         seed = next(s for s in range(1000) if finite(s, 0) and not finite(s, 1))
-        assert np.isfinite(_terminal_draws(model, _chunk_rng(seed, 0), 1000)).all()
-        assert not np.isfinite(_terminal_draws(model, _chunk_rng(seed, 1), 1000)).all()
+        assert np.isfinite(_terminal_draws(model, _chunk_rng(seed, 0), 1000, np.empty(1000))).all()
+        assert not np.isfinite(_terminal_draws(model, _chunk_rng(seed, 1), 1000, np.empty(1000))).all()
         monkeypatch.setattr(risk, "_available_cpus", lambda: 2)
         before = threading.active_count()
         with pytest.raises(ContractError, match="not a finite number"):
@@ -568,31 +586,12 @@ class TestMonteCarlo:
         monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=100_000, seed=0, chunk_size=1000))
         assert pending == [1] * 100 + [0]
 
-    def test_leaf_sums_follow_numpys_pairwise_tree(self):
-        # The leaf reduction is bit for bit numpy's sum only while numpy splits a
-        # sum as n//2 rounded down to a multiple of 8; a sequential order differs.
-        rng = np.random.default_rng(2026)
-        a = rng.standard_normal(1_200_000) * 10.0 ** rng.uniform(-6.0, 6.0, 1_200_000)
-        sizes = [1, 8193, 16385, 1 << 15, (1 << 15) + 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5,
-                 213_568, 1 << 18, a.size]
-        sizes += sorted(set(np.geomspace(1, a.size, 224).astype(int).tolist()))
-        orders_differ = 0
-
-        def leaf(start, count):  # a leaf's sum and its negation's, which the downside relies on
-            return float(a[start:start + count].sum()), float((-a[start:start + count]).sum())
-
-        for n in sizes:
-            tree, negated = risk._pairwise_sums(leaf, 0, n)
-            assert tree == float(a[:n].sum()), f"numpy's pairwise summation changed its tree at n = {n}"
-            assert negated == -tree
-            orders_differ += tree != float(np.cumsum(a[:n])[-1])
-        assert orders_differ > 100
-
     @pytest.mark.parametrize("n", [1, 7, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
     def test_moments_of_differences_are_numpys_bit_for_bit(self, n):
         # X = max(d, 0) and Y = -min(d, 0) of d = r - L against numpy's (r - L)^+ and
-        # (L - r)^+; some draws sit exactly on L. M2 is the numerator of numpy's var,
-        # and M2 / n its var, bit for bit.
+        # (L - r)^+; some draws sit exactly on L. Up to one leaf, M2 is the numerator of
+        # numpy's var, and M2 / n its var, bit for bit; a longer block is the in-order
+        # _merge of its leaves' numpy moments. Every block is within 4 eps of an fsum reference.
         L = 100.0
         rng = np.random.default_rng(n)
         r = L * np.exp(0.3 * rng.standard_normal(n))
@@ -600,11 +599,24 @@ class TestMonteCarlo:
         for draws in (r, np.maximum(r, L), np.minimum(r, L)):  # both sides, and one side all zero
             count, sum_x, m2_x, sum_y, m2_y = risk._block_moments(draws - L)
             assert count == n
+            pooled = None
+            for i in range(0, n, risk._LEAF):
+                leaf = draws[i:i + risk._LEAF]
+                x, y = np.maximum(leaf - L, 0.0), np.maximum(L - leaf, 0.0)
+                block = (x.size, float(x.sum()), float(np.square(x - x.mean()).sum()),
+                         float(y.sum()), float(np.square(y - y.mean()).sum()))
+                pooled = block if pooled is None else risk._merge(pooled, block)
+            assert (count, sum_x, m2_x, sum_y, m2_y) == pooled
             for total, m2, side in ((sum_x, m2_x, draws - L), (sum_y, m2_y, L - draws)):
                 v = np.maximum(side, 0.0)
-                assert total.hex() == float(v.sum()).hex()
-                assert m2.hex() == float(np.square(v - v.mean()).sum()).hex()
-                assert (m2 / n).hex() == float(v.var()).hex()
+                if n <= risk._LEAF:
+                    assert total.hex() == float(v.sum()).hex()
+                    assert m2.hex() == float(np.square(v - v.mean()).sum()).hex()
+                    assert (m2 / n).hex() == float(v.var()).hex()
+                exact_total = math.fsum(v.tolist())
+                exact_m2 = math.fsum(((v - exact_total / n) ** 2).tolist())
+                assert abs(total - exact_total) <= 4 * sys.float_info.epsilon * exact_total
+                assert abs(m2 - exact_m2) <= 4 * sys.float_info.epsilon * exact_m2
 
     def test_chunk_streams_are_keyed_by_seed_and_chunk(self):
         # every (seed, chunk index) its own stream, uncorrelated with the others, the
@@ -670,7 +682,7 @@ class TestMonteCarlo:
         # the first seed whose single draw lands on the failure branch (each does with probability 1/2)
         model = TwoPointScenario(0.5, 120.0, 90.0, 100.0)
         for seed in range(64):
-            draw = _terminal_draws(model, _chunk_rng(seed, 0), 1)[0]
+            draw = _terminal_draws(model, _chunk_rng(seed, 0), 1, np.empty(1))[0]
             if draw < model.L:
                 break
         assert draw < model.L
