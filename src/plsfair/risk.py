@@ -314,7 +314,9 @@ def _terminal_draws(
         z = rng.standard_normal(out=out)
         drift = (model.mu - 0.5 * model.sigma * model.sigma) * model.T
         vol = model.sigma * math.sqrt(model.T)
-        with np.errstate(over="ignore"):  # a far-tail overflow fails the moment check
+        # a far-tail overflow, or the NaN of inf - inf when both drift and vol
+        # overflow, fails the moment check
+        with np.errstate(over="ignore", invalid="ignore"):
             # L exp(drift + vol z), in place: bit for bit the same as the out-of-place form
             z *= vol
             z += drift

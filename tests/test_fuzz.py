@@ -141,10 +141,10 @@ def workdir(tmp_path_factory):
     return root
 
 
-def _gbm(mu: float, sigma: float) -> dict:
+def _gbm(mu: float, sigma: float, T: float = 1) -> dict:
     return {
         "schema": 1, "variant": "cfair_mudharabah", "ratings": [2, 3],
-        "model": {"kind": "gbm", "mu": mu, "sigma": sigma, "T": 1}, "capital_amount": 100,
+        "model": {"kind": "gbm", "mu": mu, "sigma": sigma, "T": T}, "capital_amount": 100,
     }
 
 
@@ -176,6 +176,7 @@ def _wakalah_doc(**terms) -> dict:
 @example(doc=_wakalah_doc(r=0.05, T=1e6))
 @example(doc=_gbm(-700.0, 0.1))
 @example(doc=_gbm(0.1, 1e200))
+@example(doc=_gbm(0.0, 1e300, T=1e300))  # drift and vol both overflow: inf - inf
 def test_no_exception_escapes_the_cli(workdir, doc):
     path = workdir / "contract.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
