@@ -12,16 +12,19 @@ This module produces those expectations from:
 Monte Carlo draws the terminal distribution exactly (no time stepping) and
 streams fixed-size chunks, each from its own SFC64 generator seeded by
 numpy's ``SeedSequence(seed, spawn_key=(chunk index,))``. The chunks run on
-up to one thread per CPU available to the process; each worker keeps one
-draws buffer and one 512 KB leaf buffer, whatever the path count. Each
-path's difference R_T - L is formed once, in place in the draws buffer, and
-the moments of both sides are reduced from it. One pooling rule holds
-throughout: each leaf's moments are taken by numpy in two passes, and the
-leaves of a chunk, then the chunks, are pooled in order by the update of
-Chan, Golub & LeVeque, so results are a pure function of (model, seed,
-n_paths, chunk_size), bit for bit the same for any CPU count. Seeded
-estimates changed when this stream replaced a counter-based one, and when
-leaves came to be pooled like chunks; each now stays fixed per config.
+up to one thread per CPU available to the process. Every moment reduction,
+of a Monte Carlo chunk or of an empirical sample, is one leaf pipeline: the
+differences R_T - L of 65,536 paths at a time are formed once, in a 512 KB
+leaf buffer, and the moments of both sides are reduced from them through a
+second one. A chunk is drawn leaf by leaf from its own generator, so these
+two buffers are a worker's memory whatever the path count, chunk size or
+sample size. One pooling rule holds throughout: each leaf's moments are
+taken by numpy in two passes, and the leaves of a chunk, then the chunks,
+are pooled in order by the update of Chan, Golub & LeVeque, so results are a
+pure function of (model, seed, n_paths, chunk_size), bit for bit the same
+for any CPU count. Seeded estimates changed when this stream replaced a
+counter-based one, and when leaves came to be pooled like chunks; each now
+stays fixed per config.
 
 Only the functions that build or reduce draws arrays import numpy, inside
 their bodies: numpy loads with the first sample or simulation, and a process
@@ -41,7 +44,7 @@ from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _as_float, _re
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterable, Iterator
 
     import numpy as np
 
@@ -49,7 +52,8 @@ _SQRT2 = math.sqrt(2.0)
 # The 6-point Gauss-Legendre rule on [-1, 1], as (positive node, weight) pairs.
 _GL6 = ((0.2386191860831969, 0.46791393457269104), (0.6612093864662645, 0.3607615730481386),
         (0.932469514203152, 0.17132449237917036))
-# Elements per leaf, whose moments numpy takes before leaves are pooled: 512 KB of float64 stays in L2.
+# Paths per leaf, each drawn, differenced and reduced before the next: two 512 KB
+# float64 buffers per worker stay in L2.
 _LEAF = 1 << 16
 
 
@@ -231,30 +235,56 @@ def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
 
 def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
     """Plug-in estimates from observed draws, with standard errors attached."""
-    return _profile_from_moments(_block_moments(sample.draws - sample.L))  # the draws are read-only
+    diffs, buffer = _leaf_buffers(sample.draws.size)  # the draws are read-only
+    return _profile_from_moments(_block_moments(_differences(_leaves(sample.draws), sample.L, diffs), buffer))
 
 
-def _block_moments(d: np.ndarray, buffer: np.ndarray | None = None) -> tuple:
+def _leaf_buffers(n: int) -> np.ndarray:
+    """A worker's two leaf buffers, min(n, _LEAF) long, as the rows of one block.
+    glibc's malloc keeps a freed 1 MB block for the next call, but gives two
+    freed 512 KB ones back to the OS, so each call would fault them in again."""
+    import numpy as np
+
+    return np.empty((2, min(n, _LEAF)))
+
+
+def _leaves(a: np.ndarray) -> Iterator[np.ndarray]:
+    """The _LEAF-long slices of ``a`` in order, the last one possibly shorter."""
+    return (a[start:start + _LEAF] for start in range(0, a.size, _LEAF))
+
+
+def _differences(draws: Iterable[np.ndarray], L: float, out: np.ndarray) -> Iterator[np.ndarray]:
+    """Each leaf r of ``draws`` as its differences r - L, in the first r.size slots of ``out``."""
+    import numpy as np
+
+    for r in draws:
+        yield np.subtract(r, L, out=out[:r.size])
+
+
+def _block_moments(d: np.ndarray | Iterable[np.ndarray], buffer: np.ndarray | None = None) -> tuple:
     """Moments (n, sum X, M2 of X, sum Y, M2 of Y) of the upside X = (r - L)^+
-    and downside Y = (L - r)^+ over one block of differences d = r - L.
+    and downside Y = (L - r)^+ over one block of differences d = r - L, given
+    as one array or as its leaves in order, each at most _LEAF long.
 
     X is max(d, 0) and Y is -min(d, 0), bit for bit, since L - r rounds to
     exactly -(r - L); sum Y is 0.0 minus the sum of min(d, 0), so it is never
-    -0.0. Each _LEAF-long leaf is formed side by side in ``buffer`` (at least
-    min(d.size, _LEAF) long; made here when not given) and read twice while
-    cached: its sum, then M2, the sum of squared deviations from its mean, as
-    numpy's ``var`` forms it, with (Y - mean_y)^2 as (min(d, 0) + mean_y)^2.
-    So one leaf reproduces numpy's sample deviation bit for bit, and leaves
-    are pooled in order by ``_merge``, as chunks are. Overflow is left to the
-    finiteness check of ``_profile_from_moments``."""
+    -0.0. Each leaf is formed side by side in ``buffer`` (at least as long as
+    the longest leaf; made here when not given) and read twice while cached:
+    its sum, then M2, the sum of squared deviations from its mean, as numpy's
+    ``var`` forms it, with (Y - mean_y)^2 as (min(d, 0) + mean_y)^2. So one
+    leaf reproduces numpy's sample deviation bit for bit, and leaves are
+    pooled in order by ``_merge``, as chunks are. A leaf is taken from ``d``
+    only once the one before it is reduced, so leaves may share one buffer.
+    Overflow is left to the finiteness check of ``_profile_from_moments``."""
     import numpy as np
 
+    if isinstance(d, np.ndarray):
+        d = _leaves(d)
     if buffer is None:
-        buffer = np.empty(min(d.size, _LEAF))
+        buffer = np.empty(_LEAF)
     moments = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, d.size, _LEAF):
-            leaf = d[start:start + _LEAF]
+        for leaf in d:
             n, out = leaf.size, buffer[:leaf.size]
             np.maximum(leaf, 0.0, out=out)
             sum_x = float(out.sum())
@@ -323,13 +353,11 @@ def _terminal_draws(
             np.exp(z, out=z)
             z *= model.L
         return z
-    if isinstance(model, TwoPointScenario):
-        u = rng.random(out=out)
-        success = u < model.beta
-        u.fill(model.r_minus)
-        u[success] = model.r_plus
-        return u
-    raise ContractError(f"unsupported Monte Carlo model {model!r}")
+    u = rng.random(out=out)  # a TwoPointScenario, as monte_carlo_profile checks
+    success = u < model.beta
+    u.fill(model.r_minus)
+    u[success] = model.r_plus
+    return u
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -354,21 +382,22 @@ def _stripe(model: GbmParams | TwoPointScenario, cfg: McConfig, first: int, step
     """Moments of chunks first, first + step, ... into ``done``, keyed by chunk
     index, yielding after each chunk.
 
-    The stripe draws every chunk into one buffer, turns each draw r into its
-    difference r - L there, reduces the differences through one leaf buffer,
-    and stops before its next chunk once ``failures`` is not empty.
+    The stripe draws each chunk leaf by leaf from the chunk's generator into
+    one leaf buffer, turns each draw r into its difference r - L there, and
+    reduces the differences through a second leaf buffer, so a chunk of any
+    size takes these two buffers only. A generator fills its draws in order
+    and keeps nothing between calls, so the leaves hold the chunk's draws bit
+    for bit. The stripe stops before its next chunk once ``failures`` is not
+    empty.
     """
-    import numpy as np
-
     n, size = cfg.n_paths, cfg.chunk_size
-    draws = np.empty(min(n, size))
-    leaf = np.empty(min(n, size, _LEAF))
+    diffs, buffer = _leaf_buffers(min(n, size))
     for index in range(first, -(-n // size), step):
         if failures:
             return
-        start = index * size
-        r = _terminal_draws(model, _chunk_rng(cfg.seed, index), min(size, n - start), draws)
-        done[index] = _block_moments(np.subtract(r, model.L, out=r), leaf)
+        rng, count = _chunk_rng(cfg.seed, index), min(size, n - index * size)
+        draws = (_terminal_draws(model, rng, min(_LEAF, left), diffs) for left in range(count, 0, -_LEAF))
+        done[index] = _block_moments(_differences(draws, model.L, diffs), buffer)
         yield
 
 
@@ -394,6 +423,8 @@ def monte_carlo_profile(model: GbmParams | TwoPointScenario, cfg: McConfig) -> R
     pools finished chunks after each of its own, so memory stays flat
     however many chunks there are.
     """
+    if not isinstance(model, (GbmParams, TwoPointScenario)):
+        raise ContractError(f"unsupported Monte Carlo model {model!r}")
     workers = min(-(-cfg.n_paths // cfg.chunk_size), _available_cpus())
     done, failures, threads = {}, [], []
     if workers > 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -46,6 +47,18 @@ GBM_RHO = 0.2828568099840214365
 GBM_DELTA = 10.517091807564762  # 100 * expm1(0.1)
 
 GBM_EXAMPLE = GbmParams(mu=0.1, sigma=0.2, T=1.0, L=100.0)
+
+
+def traced_peak(call) -> int:
+    """Bytes at the tracemalloc peak of ``call()``. One untraced call comes first:
+    the first simulation's lazy import of numpy.random alone traces about 7 MB."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def gbm_reference(mu: float, sigma: float, T: float, L: float) -> tuple:
@@ -440,6 +453,13 @@ class TestEmpiricalProfile:
         empirical_profile(sample)
         assert sample.draws.tobytes() == before and not sample.draws.flags.writeable
 
+    def test_memory_does_not_grow_with_the_sample(self):
+        # each leaf's differences go to a 512 KB buffer and are reduced through a second
+        # one, so the 8 MB of draws are never copied
+        sample = EmpiricalSample(100.0 * np.exp(0.3 * np.random.default_rng(0).standard_normal(1 << 20)), 100.0)
+        peak = traced_peak(lambda: empirical_profile(sample))
+        assert peak <= 1.1 * 2**20, peak
+
 
 class TestMonteCarlo:
     def test_pinned_estimates(self):
@@ -497,6 +517,31 @@ class TestMonteCarlo:
         z = _chunk_rng(9, 4).standard_normal(1 << 14)
         want = model.L * np.exp((model.mu - 0.5 * model.sigma * model.sigma) * model.T + model.sigma * math.sqrt(model.T) * z)
         assert _terminal_draws(model, _chunk_rng(9, 4), 1 << 14, np.empty(1 << 14)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", [GBM_EXAMPLE, TwoPointScenario(0.6, 120.0, 90.0, 100.0)],
+                             ids=["gbm", "two_point"])
+    def test_leaf_by_leaf_draws_are_the_chunks_draws(self, model):
+        # Every seeded estimate rests on this: a chunk is drawn leaf by leaf from its one
+        # generator, which must give the bytes of one whole-chunk call, short last leaf included.
+        count = 3 * risk._LEAF + 12_345
+        whole = _terminal_draws(model, _chunk_rng(5, 2), count, np.empty(count))
+        rng, leaf = _chunk_rng(5, 2), np.empty(risk._LEAF)
+        leaves = [_terminal_draws(model, rng, min(risk._LEAF, count - start), leaf).copy()
+                  for start in range(0, count, risk._LEAF)]
+        assert [v.size for v in leaves] == [risk._LEAF] * 3 + [12_345]
+        assert np.concatenate(leaves).tobytes() == whole.tobytes(), (
+            "numpy's SFC64 Generator no longer fills out= in order without state kept between "
+            "calls, so a chunk drawn leaf by leaf is not the chunk drawn at once")
+
+    @pytest.mark.parametrize("chunk", [1 << 18, 1 << 22])
+    @pytest.mark.parametrize("model", [GBM_EXAMPLE, TwoPointScenario(0.6, 120.0, 90.0, 100.0)],
+                             ids=["gbm", "two_point"])
+    def test_memory_does_not_grow_with_the_chunk_size(self, model, chunk, monkeypatch):
+        # one worker holds two 512 KB leaf buffers, however long its chunks
+        monkeypatch.setattr(risk, "_available_cpus", lambda: 1)
+        cfg = McConfig(n_paths=chunk, seed=1, chunk_size=chunk)
+        peak = traced_peak(lambda: monte_carlo_profile(model, cfg))
+        assert peak <= 1.1 * 2**20, peak
 
     def test_overflowing_draws_are_an_error(self):
         # L e^(mu T) is finite, but the sampled incomes overflow
