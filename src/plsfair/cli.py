@@ -176,11 +176,12 @@ def _require_capital_amount(amount: float | None, kind: str) -> float:
     return amount
 
 
-#: The model kinds with a closed form, which alone can also be simulated: parameters type,
-#: closed form (looked up here per call, so the benchmark's layer tracer sees it) and fields.
+#: The model kinds with a closed form, which alone can also be simulated: the record, whose fields
+#: before its capital L are the kind's numeric fields and which carries its exact sampler ``draw``,
+#: and the closed form, looked up here per call so the benchmark's layer tracer sees it.
 _PRICED_MODELS = {
-    "gbm": (GbmParams, lambda p: gbm_closed_form(p), ("mu", "sigma", "T")),
-    "two_point": (TwoPointScenario, lambda p: two_point_profile(p), ("beta", "r_plus", "r_minus")),
+    "gbm": (GbmParams, lambda p: gbm_closed_form(p)),
+    "two_point": (TwoPointScenario, lambda p: two_point_profile(p)),
 }
 
 
@@ -203,9 +204,9 @@ def profile_from_model(
     # A kind parsed from JSON may be a list or an object, which cannot be hashed.
     priced = _PRICED_MODELS.get(kind) if isinstance(kind, str) else None
     if priced is not None:
-        params_type, closed_form, fields = priced
-        values = [_require_number(model, key) for key in fields]
-        params = params_type(*values, L=_require_capital_amount(capital_amount, kind))
+        record, closed_form = priced
+        values = [_require_number(model, key) for key in record._fields[:-1]]
+        params = record(*values, L=_require_capital_amount(capital_amount, kind))
         if simulate:
             return monte_carlo_profile(params, McConfig(n_paths=paths, seed=seed))
         return closed_form(params)
@@ -236,7 +237,7 @@ def _model_from_flags(args: argparse.Namespace) -> dict[str, object]:
     kind = args.model.replace("-", "_")
     model: dict[str, object] = {"kind": kind}
     if kind in _PRICED_MODELS:
-        for key in _PRICED_MODELS[kind][2]:
+        for key in _PRICED_MODELS[kind][0]._fields[:-1]:
             model[key] = _flag(args, key)
     elif kind == "empirical":
         if args.data is None:

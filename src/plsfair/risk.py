@@ -9,22 +9,24 @@ This module produces those expectations from:
 - an empirical sample of terminal draws;
 - seeded Monte Carlo over the stochastic models, with standard errors.
 
-Monte Carlo draws the terminal distribution exactly (no time stepping) and
-streams fixed-size chunks, each from its own SFC64 generator seeded by
-numpy's ``SeedSequence(seed, spawn_key=(chunk index,))``. The chunks run on
-up to one thread per CPU available to the process. Every moment reduction,
-of a Monte Carlo chunk or of an empirical sample, is one leaf pipeline: the
-differences R_T - L of 65,536 paths at a time are formed once, in a 512 KB
-leaf buffer, and the moments of both sides are reduced from them through a
-second one. A chunk is drawn leaf by leaf from its own generator, so these
-two buffers are a worker's memory whatever the path count, chunk size or
-sample size. One pooling rule holds throughout: each leaf's moments are
-taken by numpy in two passes, and the leaves of a chunk, then the chunks,
-are pooled in order by the update of Chan, Golub & LeVeque, so results are a
-pure function of (model, seed, n_paths, chunk_size), bit for bit the same
-for any CPU count. Seeded estimates changed when this stream replaced a
-counter-based one, and when leaves came to be pooled like chunks; each now
-stays fixed per config.
+Each stochastic model record carries its exact terminal sampler,
+``draw(rng, out)``, so Monte Carlo draws the terminal distribution with no
+time stepping and knows no model kind. It streams fixed-size chunks, each
+from its own SFC64 generator seeded by numpy's ``SeedSequence(seed,
+spawn_key=(chunk index,))``, on up to one thread per CPU available to the
+process. One reduction turns draws into moments, for a Monte Carlo chunk
+and for an empirical sample alike: it takes the draws R_T of 65,536 paths
+at a time, forms their differences R_T - L in one 512 KB leaf buffer, and
+reduces the moments of both sides from them through a second one. A chunk
+is drawn leaf by leaf from its own generator into the first buffer, so
+these two buffers are a worker's memory whatever the path count, chunk
+size or sample size. One pooling rule holds throughout: each leaf's
+moments are taken by numpy in two passes, and the leaves of a chunk, then
+the chunks, are pooled in order by the update of Chan, Golub & LeVeque, so
+results are a pure function of (model, seed, n_paths, chunk_size), bit for
+bit the same for any CPU count. Seeded estimates changed when this stream
+replaced a counter-based one, and when leaves came to be pooled like
+chunks; each now stays fixed per config.
 
 Only the functions that build or reduce draws arrays import numpy, inside
 their bodies: numpy loads with the first sample or simulation, and a process
@@ -45,8 +47,14 @@ from .contracts import LOG_FLOAT_MAX, ContractError, RiskProfile, _as_float, _re
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
+    from typing import Protocol
 
     import numpy as np
+
+    class Sampled(Protocol):  # a model record with a capital L and an exact terminal sampler
+        L: float
+
+        def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray: ...
 
 _SQRT2 = math.sqrt(2.0)
 # The 6-point Gauss-Legendre rule on [-1, 1], as (positive node, weight) pairs.
@@ -103,6 +111,20 @@ class GbmParams(namedtuple("GbmParams", "mu sigma T L")):
             raise ContractError(f"expected income L e^(mu T) overflows at mu T = {mu_t}, L = {L}")
         return tuple.__new__(cls, (mu, sigma, T, L))
 
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with terminal incomes and return it. L exp(drift + vol Z)
+        is formed in place, bit for bit the out-of-place form; a far-tail
+        overflow, or the NaN of inf - inf when both drift and vol overflow, is
+        left to the caller's errstate and the moment check."""
+        import numpy as np
+
+        z = rng.standard_normal(out=out)
+        z *= self.sigma * math.sqrt(self.T)
+        z += (self.mu - 0.5 * self.sigma * self.sigma) * self.T
+        np.exp(z, out=z)
+        z *= self.L
+        return z
+
 
 class TwoPointScenario(namedtuple("TwoPointScenario", "beta r_plus r_minus L")):
     """Success/failure revenue model: r_plus with probability beta, else r_minus."""
@@ -122,6 +144,14 @@ class TwoPointScenario(namedtuple("TwoPointScenario", "beta r_plus r_minus L")):
         if not r_minus <= L:
             raise ContractError(f"failure revenue {r_minus} cannot exceed the capital {L}")
         return tuple.__new__(cls, (beta, r_plus, r_minus, L))
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with terminal incomes, r_plus where a uniform lies below beta, and return it."""
+        u = rng.random(out=out)
+        success = u < self.beta
+        u.fill(self.r_minus)
+        u[success] = self.r_plus
+        return u
 
 
 class EmpiricalSample(namedtuple("EmpiricalSample", "draws L")):
@@ -235,14 +265,16 @@ def two_point_profile(scenario: TwoPointScenario) -> RiskProfile:
 
 def empirical_profile(sample: EmpiricalSample) -> RiskProfile:
     """Plug-in estimates from observed draws, with standard errors attached."""
-    diffs, buffer = _leaf_buffers(sample.draws.size)  # the draws are read-only
-    return _profile_from_moments(_block_moments(_differences(_leaves(sample.draws), sample.L, diffs), buffer))
+    draws = sample.draws  # read-only: its leaves are differenced into the leaf buffers
+    return _profile_from_moments(_block_moments(_leaves(draws), sample.L, _leaf_buffers(draws.size)))
 
 
 def _leaf_buffers(n: int) -> np.ndarray:
-    """A worker's two leaf buffers, min(n, _LEAF) long, as the rows of one block.
-    glibc's malloc keeps a freed 1 MB block for the next call, but gives two
-    freed 512 KB ones back to the OS, so each call would fault them in again."""
+    """A worker's two leaf buffers, min(n, _LEAF) long, as the rows of one block:
+    the first takes a leaf's draws R_T (a sampler draws into it) and then their
+    differences R_T - L, the second their upside and downside. glibc's malloc
+    keeps a freed 1 MB block for the next call, but gives two freed 512 KB ones
+    back to the OS, so each call would fault them in again."""
     import numpy as np
 
     return np.empty((2, min(n, _LEAF)))
@@ -253,45 +285,37 @@ def _leaves(a: np.ndarray) -> Iterator[np.ndarray]:
     return (a[start:start + _LEAF] for start in range(0, a.size, _LEAF))
 
 
-def _differences(draws: Iterable[np.ndarray], L: float, out: np.ndarray) -> Iterator[np.ndarray]:
-    """Each leaf r of ``draws`` as its differences r - L, in the first r.size slots of ``out``."""
-    import numpy as np
-
-    for r in draws:
-        yield np.subtract(r, L, out=out[:r.size])
-
-
-def _block_moments(d: np.ndarray | Iterable[np.ndarray], buffer: np.ndarray | None = None) -> tuple:
+def _block_moments(draws: Iterable[np.ndarray], L: float, buffers: np.ndarray) -> tuple:
     """Moments (n, sum X, M2 of X, sum Y, M2 of Y) of the upside X = (r - L)^+
-    and downside Y = (L - r)^+ over one block of differences d = r - L, given
-    as one array or as its leaves in order, each at most _LEAF long.
+    and downside Y = (L - r)^+ over one block of draws r, given as its leaves
+    in order, each at most as long as the rows of ``buffers`` (``_leaf_buffers``).
 
-    X is max(d, 0) and Y is -min(d, 0), bit for bit, since L - r rounds to
-    exactly -(r - L); sum Y is 0.0 minus the sum of min(d, 0), so it is never
-    -0.0. Each leaf is formed side by side in ``buffer`` (at least as long as
-    the longest leaf; made here when not given) and read twice while cached:
-    its sum, then M2, the sum of squared deviations from its mean, as numpy's
-    ``var`` forms it, with (Y - mean_y)^2 as (min(d, 0) + mean_y)^2. So one
-    leaf reproduces numpy's sample deviation bit for bit, and leaves are
-    pooled in order by ``_merge``, as chunks are. A leaf is taken from ``d``
-    only once the one before it is reduced, so leaves may share one buffer.
-    Overflow is left to the finiteness check of ``_profile_from_moments``."""
+    The differences d = r - L of each leaf are formed in the first row, in
+    place when a sampler drew the leaf there. X is max(d, 0) and Y is
+    -min(d, 0), bit for bit, since L - r rounds to exactly -(r - L); sum Y is
+    0.0 minus the sum of min(d, 0), so it is never -0.0. Each side is formed
+    in the second row and read twice while cached: its sum, then M2, the sum
+    of squared deviations from its mean, as numpy's ``var`` forms it, with
+    (Y - mean_y)^2 as (min(d, 0) + mean_y)^2. So one leaf reproduces numpy's
+    sample deviation bit for bit, and leaves are pooled in order by
+    ``_merge``, as chunks are. A leaf is taken from ``draws`` only once the
+    one before it is reduced, so a sampler may draw each leaf into the first
+    row, and inside this function's errstate, so an overflow in the sampler,
+    as in the reduction, is left to the finiteness check of
+    ``_profile_from_moments``."""
     import numpy as np
 
-    if isinstance(d, np.ndarray):
-        d = _leaves(d)
-    if buffer is None:
-        buffer = np.empty(_LEAF)
     moments = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for leaf in d:
-            n, out = leaf.size, buffer[:leaf.size]
-            np.maximum(leaf, 0.0, out=out)
+        for r in draws:
+            n = r.size
+            d, out = np.subtract(r, L, out=buffers[0, :n]), buffers[1, :n]
+            np.maximum(d, 0.0, out=out)
             sum_x = float(out.sum())
             out -= sum_x / n
             out *= out
             m2_x = float(out.sum())
-            np.minimum(leaf, 0.0, out=out)
+            np.minimum(d, 0.0, out=out)
             sum_y = 0.0 - float(out.sum())
             out += sum_y / n
             out *= out
@@ -333,33 +357,6 @@ def _profile_from_moments(m: tuple) -> RiskProfile:
     )
 
 
-def _terminal_draws(
-    model: GbmParams | TwoPointScenario, rng: np.random.Generator, count: int, out: np.ndarray,
-) -> np.ndarray:
-    """``count`` terminal incomes of the model, in the first ``count`` slots of ``out``."""
-    import numpy as np
-
-    out = out[:count]
-    if isinstance(model, GbmParams):
-        z = rng.standard_normal(out=out)
-        drift = (model.mu - 0.5 * model.sigma * model.sigma) * model.T
-        vol = model.sigma * math.sqrt(model.T)
-        # a far-tail overflow, or the NaN of inf - inf when both drift and vol
-        # overflow, fails the moment check
-        with np.errstate(over="ignore", invalid="ignore"):
-            # L exp(drift + vol z), in place: bit for bit the same as the out-of-place form
-            z *= vol
-            z += drift
-            np.exp(z, out=z)
-            z *= model.L
-        return z
-    u = rng.random(out=out)  # a TwoPointScenario, as monte_carlo_profile checks
-    success = u < model.beta
-    u.fill(model.r_minus)
-    u[success] = model.r_plus
-    return u
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The generator of one chunk: SFC64 seeded by ``SeedSequence(seed,
     spawn_key=(chunk_index,))``, numpy's recipe for independent keyed streams.
@@ -377,27 +374,25 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _stripe(model: GbmParams | TwoPointScenario, cfg: McConfig, first: int, step: int,
-            done: dict, failures: list) -> Iterator[None]:
+def _stripe(model: Sampled, cfg: McConfig, first: int, step: int, done: dict, failures: list) -> Iterator[None]:
     """Moments of chunks first, first + step, ... into ``done``, keyed by chunk
     index, yielding after each chunk.
 
-    The stripe draws each chunk leaf by leaf from the chunk's generator into
-    one leaf buffer, turns each draw r into its difference r - L there, and
-    reduces the differences through a second leaf buffer, so a chunk of any
-    size takes these two buffers only. A generator fills its draws in order
-    and keeps nothing between calls, so the leaves hold the chunk's draws bit
-    for bit. The stripe stops before its next chunk once ``failures`` is not
-    empty.
+    The stripe has the model's sampler draw each chunk leaf by leaf from the
+    chunk's generator into the first leaf buffer, which ``_block_moments``
+    reduces, so a chunk of any size takes two leaf buffers only. A generator
+    fills its draws in order and keeps nothing between calls, so the leaves
+    hold the chunk's draws bit for bit. The stripe stops before its next
+    chunk once ``failures`` is not empty.
     """
     n, size = cfg.n_paths, cfg.chunk_size
-    diffs, buffer = _leaf_buffers(min(n, size))
+    buffers = _leaf_buffers(min(n, size))
     for index in range(first, -(-n // size), step):
         if failures:
             return
         rng, count = _chunk_rng(cfg.seed, index), min(size, n - index * size)
-        draws = (_terminal_draws(model, rng, min(_LEAF, left), diffs) for left in range(count, 0, -_LEAF))
-        done[index] = _block_moments(_differences(draws, model.L, diffs), buffer)
+        draws = (model.draw(rng, buffers[0, :min(_LEAF, left)]) for left in range(count, 0, -_LEAF))
+        done[index] = _block_moments(draws, model.L, buffers)
         yield
 
 
@@ -412,8 +407,9 @@ def _pool_finished(moments: tuple | None, pooled: int, done: dict) -> tuple:
     return moments, pooled
 
 
-def monte_carlo_profile(model: GbmParams | TwoPointScenario, cfg: McConfig) -> RiskProfile:
-    """Estimate the risk profile by exact terminal sampling.
+def monte_carlo_profile(model: Sampled, cfg: McConfig) -> RiskProfile:
+    """Estimate the risk profile by exact terminal sampling, with the
+    ``draw(rng, out)`` sampler that the model record carries.
 
     The chunks run in stripes on min(chunk count, available CPUs) threads,
     the calling thread included. Each chunk's moments of the per-path upside
@@ -423,7 +419,7 @@ def monte_carlo_profile(model: GbmParams | TwoPointScenario, cfg: McConfig) -> R
     pools finished chunks after each of its own, so memory stays flat
     however many chunks there are.
     """
-    if not isinstance(model, (GbmParams, TwoPointScenario)):
+    if not hasattr(model, "draw"):
         raise ContractError(f"unsupported Monte Carlo model {model!r}")
     workers = min(-(-cfg.n_paths // cfg.chunk_size), _available_cpus())
     done, failures, threads = {}, [], []

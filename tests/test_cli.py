@@ -182,6 +182,10 @@ class TestRiskCommand:
         [
             (["--model", "gbm", "--mu", "0.1", "--sigma", "0.2", "--T", "1"], "--model gbm needs --L (the capital)"),
             (["--model", "empirical", "--L", "100"], "--model empirical needs --data FILE"),
+            (["--model", "two-point", "--beta", "0.6", "--r-minus", "90", "--L", "100"],
+             "--model two-point needs --r-plus"),
+            (["--model", "two-point", "--beta", "0.6", "--r-plus", "120", "--L", "100"],
+             "--model two-point needs --r-minus"),
         ],
     )
     def test_missing_input_flags_are_named(self, capsys, flags, message):
@@ -588,6 +592,8 @@ class TestAllocateCommand:
             ({"wakalah": [0, 1, 4]}, "'wakalah' must be an object with keys r, T, k"),
             ({"model": "gbm"}, "'model' must be an object with a 'kind' key"),
             ({"model": {"kind": "gbm", "mu": 0.1, "T": 1}, "capital_amount": 100}, "missing numeric field 'sigma'"),
+            ({"model": {"kind": "two_point", "beta": 0.6, "r_plus": 120}, "capital_amount": 100},
+             "missing numeric field 'r_minus'"),
             ({"model": {"kind": "empirical"}, "capital_amount": 100}, "empirical model needs a 'path' to the draws file"),
         ],
     )

@@ -35,7 +35,7 @@ from plsfair import (
     two_point_profile,
 )
 from plsfair import risk
-from plsfair.risk import _chunk_rng, _terminal_draws
+from plsfair.risk import _chunk_rng
 
 # mpmath.ncdf('1.96') to 20 digits: 0.97500210485177956586
 PHI_196 = 0.9750021048517796
@@ -502,8 +502,7 @@ class TestMonteCarlo:
         cfg = McConfig(n_paths=200_000, seed=0, chunk_size=1 << 14)
         starts = range(0, cfg.n_paths, cfg.chunk_size)
         r = np.concatenate([
-            _terminal_draws(model, _chunk_rng(cfg.seed, i), min(cfg.chunk_size, cfg.n_paths - s),
-                            np.empty(cfg.chunk_size))
+            model.draw(_chunk_rng(cfg.seed, i), np.empty(min(cfg.chunk_size, cfg.n_paths - s)))
             for i, s in enumerate(starts)
         ])
         profile = monte_carlo_profile(model, cfg)
@@ -516,7 +515,7 @@ class TestMonteCarlo:
         model = GbmParams(mu=0.3, sigma=0.7, T=2.0, L=150.0)
         z = _chunk_rng(9, 4).standard_normal(1 << 14)
         want = model.L * np.exp((model.mu - 0.5 * model.sigma * model.sigma) * model.T + model.sigma * math.sqrt(model.T) * z)
-        assert _terminal_draws(model, _chunk_rng(9, 4), 1 << 14, np.empty(1 << 14)).tobytes() == want.tobytes()
+        assert model.draw(_chunk_rng(9, 4), np.empty(1 << 14)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("model", [GBM_EXAMPLE, TwoPointScenario(0.6, 120.0, 90.0, 100.0)],
                              ids=["gbm", "two_point"])
@@ -524,9 +523,9 @@ class TestMonteCarlo:
         # Every seeded estimate rests on this: a chunk is drawn leaf by leaf from its one
         # generator, which must give the bytes of one whole-chunk call, short last leaf included.
         count = 3 * risk._LEAF + 12_345
-        whole = _terminal_draws(model, _chunk_rng(5, 2), count, np.empty(count))
+        whole = model.draw(_chunk_rng(5, 2), np.empty(count))
         rng, leaf = _chunk_rng(5, 2), np.empty(risk._LEAF)
-        leaves = [_terminal_draws(model, rng, min(risk._LEAF, count - start), leaf).copy()
+        leaves = [model.draw(rng, leaf[:min(risk._LEAF, count - start)]).copy()
                   for start in range(0, count, risk._LEAF)]
         assert [v.size for v in leaves] == [risk._LEAF] * 3 + [12_345]
         assert np.concatenate(leaves).tobytes() == whole.tobytes(), (
@@ -576,11 +575,13 @@ class TestMonteCarlo:
         model = GbmParams(mu=706.3, sigma=1.0, T=1.0, L=1.0)
 
         def finite(seed, index):
-            return bool(np.isfinite(_terminal_draws(model, _chunk_rng(seed, index), 1000, np.empty(1000))).all())
+            with np.errstate(over="ignore"):  # the sampler leaves overflow to its caller
+                return bool(np.isfinite(model.draw(_chunk_rng(seed, index), np.empty(1000))).all())
 
         seed = next(s for s in range(1000) if finite(s, 0) and not finite(s, 1))
-        assert np.isfinite(_terminal_draws(model, _chunk_rng(seed, 0), 1000, np.empty(1000))).all()
-        assert not np.isfinite(_terminal_draws(model, _chunk_rng(seed, 1), 1000, np.empty(1000))).all()
+        with np.errstate(over="ignore"):
+            assert np.isfinite(model.draw(_chunk_rng(seed, 0), np.empty(1000))).all()
+            assert not np.isfinite(model.draw(_chunk_rng(seed, 1), np.empty(1000))).all()
         monkeypatch.setattr(risk, "_available_cpus", lambda: 2)
         before = threading.active_count()
         with pytest.raises(ContractError, match="not a finite number"):
@@ -590,10 +591,10 @@ class TestMonteCarlo:
     def test_an_exception_on_a_worker_thread_reaches_the_caller(self, monkeypatch):
         moments = risk._block_moments
 
-        def fail_off_the_calling_thread(d, buffer=None):
+        def fail_off_the_calling_thread(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("chunk on a worker thread")
-            return moments(d, buffer)
+            return moments(*args)
 
         monkeypatch.setattr(risk, "_block_moments", fail_off_the_calling_thread)
         monkeypatch.setattr(risk, "_available_cpus", lambda: 2)
@@ -642,7 +643,7 @@ class TestMonteCarlo:
         r = L * np.exp(0.3 * rng.standard_normal(n))
         r[::5] = L
         for draws in (r, np.maximum(r, L), np.minimum(r, L)):  # both sides, and one side all zero
-            count, sum_x, m2_x, sum_y, m2_y = risk._block_moments(draws - L)
+            count, sum_x, m2_x, sum_y, m2_y = risk._block_moments(risk._leaves(draws), L, risk._leaf_buffers(n))
             assert count == n
             pooled = None
             for i in range(0, n, risk._LEAF):
@@ -727,7 +728,7 @@ class TestMonteCarlo:
         # the first seed whose single draw lands on the failure branch (each does with probability 1/2)
         model = TwoPointScenario(0.5, 120.0, 90.0, 100.0)
         for seed in range(64):
-            draw = _terminal_draws(model, _chunk_rng(seed, 0), 1, np.empty(1))[0]
+            draw = model.draw(_chunk_rng(seed, 0), np.empty(1))[0]
             if draw < model.L:
                 break
         assert draw < model.L
@@ -756,9 +757,12 @@ class TestMonteCarlo:
             McConfig(**kwargs)
         assert str(caught.value) == message
 
-    def test_unsupported_model(self):
-        with pytest.raises(ContractError):
-            monte_carlo_profile("not a model", McConfig(n_paths=10))
+    @pytest.mark.parametrize("model", ["not a model", EmpiricalSample([120.0, 90.0], 100.0), RiskProfile(2.0, 1.0)],
+                             ids=["string", "empirical", "profile"])
+    def test_unsupported_model(self, model):
+        # a record with no draw(rng, out) sampler cannot be simulated
+        with pytest.raises(ContractError, match="unsupported Monte Carlo model"):
+            monte_carlo_profile(model, McConfig(n_paths=10))
 
 
 class TestDrawsFile:
