@@ -183,6 +183,8 @@ _PRICED_MODELS = {
     "gbm": (GbmParams, lambda p: gbm_closed_form(p)),
     "two_point": (TwoPointScenario, lambda p: two_point_profile(p)),
 }
+#: Every model kind a contract may name; ``--model`` spells each with hyphens.
+_MODEL_KINDS = (*_PRICED_MODELS, "empirical", "fixed_rho")
 
 
 def profile_from_model(
@@ -190,12 +192,12 @@ def profile_from_model(
     capital_amount: float | None,
     *,
     contract: str | os.PathLike | None,
-    simulate: bool = False,
-    seed: int = 0,
-    paths: int = DEFAULT_PATHS,
+    mc: McConfig | None = None,
 ) -> RiskProfile:
     """Build a risk profile from a contract file's model section.
 
+    With ``mc`` a priced model is simulated with those settings; without it
+    every kind gives its closed form, sample or fixed risk.
     ``contract`` is the file the section was read from. A relative draws path
     is read from the directory of that file's real path (symlinks resolved),
     or opened as given, from the working directory, when ``contract`` is None.
@@ -207,14 +209,12 @@ def profile_from_model(
         record, closed_form = priced
         values = [_require_number(model, key) for key in record._fields[:-1]]
         params = record(*values, L=_require_capital_amount(capital_amount, kind))
-        if simulate:
-            return monte_carlo_profile(params, McConfig(n_paths=paths, seed=seed))
-        return closed_form(params)
-    if kind not in ("empirical", "fixed_rho"):
+        return closed_form(params) if mc is None else monte_carlo_profile(params, mc)
+    if kind not in _MODEL_KINDS:
         raise ContractError(
-            f"unknown model kind {kind!r}; expected gbm, two_point, empirical, or fixed_rho"
+            f"unknown model kind {kind!r}; expected {', '.join(_MODEL_KINDS[:-1])}, or {_MODEL_KINDS[-1]}"
         )
-    if simulate:
+    if mc is not None:
         raise ContractError(
             f"--simulate applies only to model kinds {' and '.join(_PRICED_MODELS)}, not {kind!r}"
         )
@@ -248,6 +248,11 @@ def _model_from_flags(args: argparse.Namespace) -> dict[str, object]:
         if args.delta is not None:
             model["delta"] = args.delta
     return model
+
+
+def _mc_config(args: argparse.Namespace) -> McConfig | None:
+    """The Monte Carlo settings of ``--simulate``, ``--paths`` and ``--seed``; None without ``--simulate``."""
+    return McConfig(n_paths=args.paths, seed=args.seed) if args.simulate else None
 
 
 def _flag(args: argparse.Namespace, name: str) -> float:
@@ -316,9 +321,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
     model = _model_from_flags(args)
     if args.L is None and model["kind"] != "fixed_rho":
         raise ContractError(f"--model {args.model} needs --L (the capital)")
-    profile = profile_from_model(
-        model, args.L, contract=None, simulate=args.simulate, seed=args.seed, paths=args.paths
-    )
+    profile = profile_from_model(model, args.L, contract=None, mc=_mc_config(args))
     if args.json:
         print(json.dumps(_profile_payload(profile)), file=_stdout())
     else:
@@ -331,11 +334,7 @@ def _contract_and_profile(args: argparse.Namespace, purpose: str) -> tuple[Contr
     spec, model, amount = load_contract(args.contract)
     if model is None:
         raise ContractError(f"contract file has no 'model'; {purpose} needs a risk profile")
-    profile = profile_from_model(
-        model, amount, contract=args.contract,
-        simulate=args.simulate, seed=args.seed, paths=args.paths,
-    )
-    return spec, profile
+    return spec, profile_from_model(model, amount, contract=args.contract, mc=_mc_config(args))
 
 
 def _report_payload(report: VerificationReport, tol: float) -> dict[str, object]:
@@ -534,9 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_risk = sub.add_parser("risk", parents=[profile], help="compute a risk profile from a model")
-    p_risk.add_argument(
-        "--model", required=True, choices=["gbm", "two-point", "empirical", "fixed-rho"]
-    )
+    p_risk.add_argument("--model", required=True, choices=[kind.replace("_", "-") for kind in _MODEL_KINDS])
     p_risk.add_argument("--mu", type=number, help="drift per period (gbm)")
     p_risk.add_argument("--sigma", type=number, help="volatility per sqrt-period (gbm)")
     p_risk.add_argument("--T", type=number, help="horizon in periods (gbm)")

@@ -24,14 +24,15 @@ size or sample size. One pooling rule holds throughout: each leaf's
 moments are taken by numpy in two passes, and the leaves of a chunk, then
 the chunks, are pooled in order by the update of Chan, Golub & LeVeque, so
 results are a pure function of (model, seed, n_paths, chunk_size), bit for
-bit the same for any CPU count. Seeded estimates changed when this stream
-replaced a counter-based one, and when leaves came to be pooled like
-chunks; each now stays fixed per config.
+bit the same for any CPU count on one machine and numpy build. GBM draws
+pass through numpy's float64 ``exp``, whose AVX-512 kernel and AVX2 or
+baseline path differ in the last bit on some inputs, so a seeded GBM
+estimate may differ between CPUs; two-point and empirical draws use no ``exp``.
 
 Only the functions that build or reduce draws arrays import numpy, inside
 their bodies: numpy loads with the first sample or simulation, and a process
 that uses only the closed forms, or only reads a draws file, never loads it.
-Likewise ``threading`` is imported only by a simulation that starts threads.
+Likewise only a simulation imports ``threading``.
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ class EmpiricalSample(namedtuple("EmpiricalSample", "draws L")):
 
 
 class McConfig(namedtuple("McConfig", "n_paths seed chunk_size")):
-    """Monte Carlo controls; (seed, n_paths, chunk_size) pin the result."""
+    """Monte Carlo controls; (seed, n_paths, chunk_size) pin the result, bit for
+    bit, for any CPU count on one machine and numpy build."""
 
     __slots__ = ()
 
@@ -421,19 +423,19 @@ def monte_carlo_profile(model: Sampled, cfg: McConfig) -> RiskProfile:
     """
     if not hasattr(model, "draw"):
         raise ContractError(f"unsupported Monte Carlo model {model!r}")
+    import threading
+
     workers = min(-(-cfg.n_paths // cfg.chunk_size), _available_cpus())
-    done, failures, threads = {}, [], []
-    if workers > 1:
-        import threading
+    done, failures = {}, []
 
-        def work(first: int) -> None:
-            try:
-                for _ in _stripe(model, cfg, first, workers, done, failures):
-                    pass
-            except BaseException as exc:  # raised again by the calling thread below
-                failures.append(exc)
+    def work(first: int) -> None:
+        try:
+            for _ in _stripe(model, cfg, first, workers, done, failures):
+                pass
+        except BaseException as exc:  # raised again by the calling thread below
+            failures.append(exc)
 
-        threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
     moments, pooled = None, 0
     try:
         for thread in threads:

@@ -497,6 +497,12 @@ class TestAllocateCommand:
         with pytest.raises(TypeError):
             profile_from_model({"kind": "empirical", "path": "d.txt"}, 100.0, tmp_path)
 
+    def test_an_mc_config_simulates_and_none_takes_the_closed_form(self):
+        model, cfg = {"kind": "two_point", "beta": 0.6, "r_plus": 120, "r_minus": 90}, cli.McConfig(5000, seed=3)
+        scenario = cli.TwoPointScenario(0.6, 120.0, 90.0, 100.0)
+        assert profile_from_model(model, 100.0, contract=None, mc=cfg) == cli.monte_carlo_profile(scenario, cfg)
+        assert profile_from_model(model, 100.0, contract=None) == cli.two_point_profile(scenario)
+
     @pytest.mark.parametrize(
         "model",
         [{"kind": "empirical", "path": "draws.txt"}, {"kind": "fixed_rho", "rho": 0.3}],
@@ -916,7 +922,7 @@ class TestClosedFormImports:
         assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_a_closed_form_process_loads_no_threading(self):
-        # Under -I -S nothing else loads it: only a simulation that starts threads does.
+        # Under -I -S nothing else loads it: only a simulation does.
         src = str(Path(plsfair.__file__).resolve().parent.parent)
         script = (
             "import sys; sys.path.insert(0, sys.argv[1]); from plsfair.cli import main; "

@@ -7,6 +7,7 @@ frozen below; Monte Carlo checks use the closed forms as oracles.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -618,6 +619,14 @@ class TestMonteCarlo:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             monte_carlo_profile(GBM_EXAMPLE, McConfig(n_paths=6000, seed=0, chunk_size=1000))
         assert threading.active_count() == before and not started[0].is_alive()
+
+    def test_cpu_count_where_the_os_has_no_affinity_set(self, monkeypatch):
+        # as on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert risk._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert risk._available_cpus() == 1
 
     def test_the_calling_thread_pools_chunks_as_they_finish(self, monkeypatch):
         # memory stays flat in the chunk count: on one thread no block waits to be pooled

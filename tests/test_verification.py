@@ -70,6 +70,13 @@ class TestGaussSolve:
         )
         assert done.stdout.strip() == "raised"
 
+    @pytest.mark.parametrize("rhs", [[0.0, 10.0, -10.0], [0.0, 1.0, 1.0]], ids=["inf-inf", "overflow"])
+    def test_back_substitution_that_leaves_the_float_range(self, rhs):
+        # The first row's tail sums 1e308 x_1 + 1e308 x_2: fsum meets inf - inf, or a
+        # partial sum beyond the float range, and raises where a plain sum would not.
+        with pytest.raises(ContractError, match="no finite solution"):
+            gauss_solve([[1.0, 1e308, 1e308], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], rhs)
+
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             gauss_solve(np.zeros((2, 3)), np.zeros(2))
